@@ -229,6 +229,11 @@ def test_host_wallclock_report(wallclock_rows):
 
 
 def _quick_gate() -> int:
+    if not RESULTS_PATH.exists():
+        print(f"perf-smoke: no committed baseline at {RESULTS_PATH}; write "
+              "it with: PYTHONPATH=src python benchmarks/bench_host_wallclock.py",
+              file=sys.stderr)
+        return 1
     doc = json.loads(RESULTS_PATH.read_text())
     committed = {(r["matrix"], r["case"]): r for r in doc["rows"]}
     failures = []

@@ -22,7 +22,7 @@ from .stability import (
     iterative_refinement,
 )
 from .condest import condest, onenorm, onenormest_inverse
-from .timeline import render_timeline, overlap_profile, export_chrome_trace
+from .timeline import render_timeline, overlap_profile
 from .comm import CommReport, comm_report_from_envs, predicted_1d_volume
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "onenormest_inverse",
     "render_timeline",
     "overlap_profile",
-    "export_chrome_trace",
     "CommReport",
     "comm_report_from_envs",
     "predicted_1d_volume",

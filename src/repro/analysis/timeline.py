@@ -47,25 +47,3 @@ def overlap_profile(spans, nprocs: int, samples: int = 200) -> list:
         out.append(busy)
     return out
 
-
-def export_chrome_trace(spans, path) -> None:
-    """Write task spans as a Chrome-tracing JSON file (load in
-    ``chrome://tracing`` or Perfetto) — microsecond timestamps, one
-    simulated rank per tracing thread."""
-    import json
-
-    events = []
-    for s in spans:
-        events.append(
-            {
-                "name": s.label,
-                "ph": "X",
-                "ts": s.start * 1e6,
-                "dur": max((s.end - s.start) * 1e6, 0.01),
-                "pid": 0,
-                "tid": s.rank,
-                "cat": "task",
-            }
-        )
-    with open(path, "w") as fh:
-        json.dump({"traceEvents": events}, fh)

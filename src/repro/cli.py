@@ -268,73 +268,18 @@ def cmd_validate(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-_SEVERITY_ORDER = ("note", "warning", "error")
-
-
-def _verify_comm_exit(counts, fail_on) -> int:
-    """Exit code from severity counts and the ``--fail-on`` threshold."""
-    if fail_on == "never":
-        return 0
-    thr = _SEVERITY_ORDER.index(fail_on)
-    n = sum(c for s, c in counts.items() if _SEVERITY_ORDER.index(s) >= thr)
-    return 1 if n else 0
-
-
 def cmd_verify_comm(args) -> int:
     import json
 
     from .machine import T3D, T3E, GENERIC
-    from .verify import (
-        check_run,
-        lint_file,
-        lint_parallel_modules,
-        replay_check,
-    )
+    from .verify import check_run, replay_check
 
     spec = {"T3D": T3D, "T3E": T3E, "GENERIC": GENERIC}[args.machine]
-    counts = {"note": 0, "warning": 0, "error": 0}
-    doc = {"static": {}, "dynamic": [], "replay": [], "faults": {}}
+    failures = 0  # every trace, replay or fault violation is an error
+    doc = {"dynamic": [], "replay": [], "faults": {}}
     out = (lambda *a, **k: None) if args.json else print
 
-    def finish() -> int:
-        failures = sum(counts.values())
-        code = _verify_comm_exit(counts, args.fail_on)
-        if args.json:
-            doc["counts"] = dict(counts)
-            doc["fail_on"] = args.fail_on
-            doc["ok"] = code == 0
-            print(json.dumps(doc, indent=2, sort_keys=True, default=str))
-        else:
-            print(f"\n{'PASS' if code == 0 else 'FAIL'}: "
-                  f"{failures} violation(s)")
-        return code
-
-    # -- 1. static comm-lint ----------------------------------------------
-    out("== static comm-lint ==")
-    if args.module:
-        try:
-            lint_results = {m: lint_file(m) for m in args.module}
-        except OSError as e:
-            print(f"cannot read module: {e}", file=sys.stderr)
-            return 2
-    else:
-        lint_results = lint_parallel_modules()
-    for path, findings in sorted(lint_results.items()):
-        name = path.rsplit("/", 1)[-1]
-        doc["static"][name] = [f.as_dict() for f in findings]
-        if findings:
-            for f in findings:
-                counts[f.severity] = counts.get(f.severity, 0) + 1
-            out(f"{name}: {len(findings)} finding(s)")
-            for f in findings:
-                out(f"  {f}")
-        else:
-            out(f"{name}: OK")
-
-    if args.static_only:
-        return finish()
-
-    # -- 2+3. dynamic trace check and determinism replay -------------------
+    # -- 1+2. dynamic trace check and determinism replay -------------------
     from .matrices import random_nonsymmetric
     from .numfact import LUFactorization
     from .ordering import prepare_matrix
@@ -405,7 +350,7 @@ def cmd_verify_comm(args) -> int:
         # the trisolve runners reuse the rapid factorization
         runner_1d("rapid")({"trace": False})
 
-    out(f"\n== dynamic trace check (P={P}, {args.machine}, "
+    out(f"== dynamic trace check (P={P}, {args.machine}, "
         f"n={om.A.nrows}) ==")
     runs = {}
     for name, runner, with_dag in targets:
@@ -420,7 +365,7 @@ def cmd_verify_comm(args) -> int:
         out(f"{name:12s}: {report.summary()}")
         for v in report.violations:
             out(f"  {v}")
-        counts["error"] += len(report.violations)
+        failures += len(report.violations)
         doc["dynamic"].append({
             "target": name,
             "summary": report.summary(),
@@ -437,14 +382,14 @@ def cmd_verify_comm(args) -> int:
             out(f"{name:12s}: {rep.summary()}")
             for m in rep.mismatches:
                 out(f"  {m}")
-            counts["error"] += len(rep.mismatches)
+            failures += len(rep.mismatches)
             doc["replay"].append({
                 "target": name,
                 "summary": rep.summary(),
                 "mismatches": [str(m) for m in rep.mismatches],
             })
 
-    # -- 4. fault injection: recovered runs must still satisfy the protocol
+    # -- 3. fault injection: recovered runs must still satisfy the protocol
     if args.fault_rate > 0 or args.crash_recovery:
         from .machine import FaultPlan
         from .parallel import run_1d_resilient
@@ -467,7 +412,7 @@ def cmd_verify_comm(args) -> int:
                 f"({fs.dropped} dropped, {fs.retransmits} retransmits)")
             for v in report.violations:
                 out(f"  {v}")
-            counts["error"] += len(report.violations)
+            failures += len(report.violations)
             doc["faults"]["drops"] = {
                 "summary": report.summary(),
                 "dropped": fs.dropped,
@@ -485,7 +430,7 @@ def cmd_verify_comm(args) -> int:
                 out(f"faulty replay: {rep.summary()}")
                 for m in rep.mismatches:
                     out(f"  {m}")
-                counts["error"] += len(rep.mismatches)
+                failures += len(rep.mismatches)
                 doc["faults"]["drops_replay"] = {
                     "summary": rep.summary(),
                     "mismatches": [str(m) for m in rep.mismatches],
@@ -512,7 +457,7 @@ def cmd_verify_comm(args) -> int:
                     out(f"  round {i}: {report.summary()}")
                     for v in report.violations:
                         out(f"    {v}")
-                counts["error"] += len(report.violations)
+                failures += len(report.violations)
                 crash_doc["violations"].extend(
                     {"round": i, "rule": v.rule, "message": v.message}
                     for v in report.violations
@@ -529,18 +474,37 @@ def cmd_verify_comm(args) -> int:
             out(f"recovered factor bit-identical to fault-free: "
                 f"{'yes' if recovered_ok else 'NO'}")
             if not recovered_ok:
-                counts["error"] += 1
+                failures += 1
             crash_doc["recovered_ok"] = recovered_ok
             doc["faults"]["crash_recovery"] = crash_doc
 
-    return finish()
+    if args.json:
+        doc["violations"] = failures
+        doc["ok"] = failures == 0
+        print(json.dumps(doc, indent=2, sort_keys=True, default=str))
+    else:
+        print(f"\n{'PASS' if failures == 0 else 'FAIL'}: "
+              f"{failures} violation(s)")
+    return 1 if failures else 0
 
 
 def cmd_lint(args) -> int:
     from pathlib import Path
 
-    from .lint import count_at_or_above, lint_paths, render_json, render_text
+    from .lint import (
+        count_at_or_above,
+        iter_python_files,
+        lint_paths,
+        render_json,
+        render_text,
+    )
 
+    # a mistyped path must not turn the lint gate into a silent no-op
+    for p in args.paths:
+        if not iter_python_files([p]):
+            print(f"lint: no .py files at {p} (missing path or no Python "
+                  "sources)", file=sys.stderr)
+            return 2
     paths = args.paths or [str(Path(__file__).resolve().parent)]
     select = args.select.split(",") if args.select else None
     env_names = tuple(args.env_name) if args.env_name else ("env",)
@@ -976,7 +940,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     vc = sub.add_parser(
         "verify-comm",
-        help="communication-protocol analyses: static lint, trace check, replay",
+        help="dynamic communication-protocol analyses: trace check, replay, "
+             "fault injection",
     )
     vc.add_argument("--matrix", help="MatrixMarket file (default: random test matrix)")
     vc.add_argument("--n", type=int, default=90,
@@ -988,13 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--codes",
                     help="comma list of SPMD codes to check dynamically "
                          "(1d-rapid,1d-ca,2d,2d-sync,trisolve-1d,trisolve-2d)")
-    vc.add_argument("--all-parallel-modules", action="store_true",
-                    help="lint every repro.parallel module (the default; kept "
-                         "as an explicit flag for CI invocations)")
-    vc.add_argument("--module", action="append",
-                    help="lint this source file instead of repro.parallel")
-    vc.add_argument("--static-only", action="store_true",
-                    help="run only the AST lint, skip simulations")
     vc.add_argument("--skip-replay", action="store_true")
     vc.add_argument("--replays", type=int, default=3,
                     help="number of perturbed host orders per code")
@@ -1007,16 +965,12 @@ def build_parser() -> argparse.ArgumentParser:
                          "restart and trace-check every committed round")
     vc.add_argument("--json", action="store_true",
                     help="emit a machine-readable JSON report instead of text")
-    vc.add_argument("--fail-on", default="warning",
-                    choices=["note", "warning", "error", "never"],
-                    help="exit nonzero when a finding at or above this "
-                         "severity exists (default: warning)")
     vc.set_defaults(func=cmd_verify_comm)
 
     ln = sub.add_parser(
         "lint",
-        help="dataflow static analysis: determinism (D1xx) and zero-copy "
-             "aliasing (Z2xx) rules",
+        help="static analysis: communication protocol (Y01, T01-T03), "
+             "determinism (D1xx) and zero-copy aliasing (Z2xx) rules",
     )
     ln.add_argument("paths", nargs="*",
                     help="files or directories to lint (default: the "
@@ -1030,8 +984,8 @@ def build_parser() -> argparse.ArgumentParser:
     ln.add_argument("--select",
                     help="comma-separated rule ids to report (e.g. D101,Z201)")
     ln.add_argument("--env-name", action="append",
-                    help="SPMD env handle name(s) for the aliasing pass "
-                         "(default: env)")
+                    help="SPMD env handle name(s) for the protocol and "
+                         "aliasing passes (default: env)")
     ln.add_argument("--certify", nargs="?", const="", metavar="PATH",
                     default=None,
                     help="emit a zero-copy certificate (Z201/Z202 verdict + "

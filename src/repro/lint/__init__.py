@@ -1,9 +1,12 @@
-"""``repro.lint`` — extensible dataflow static analysis for the repro codebase.
+"""``repro.lint`` — extensible static analysis for the repro codebase.
 
-Where :mod:`repro.verify.commlint` is a per-call AST lint of the SPMD
-communication *protocol*, this package checks two deeper invariants the
-S* design depends on, by tracking values through assignments and calls:
+One rule registry and one driver host three passes over every linted
+module, each guarding an invariant the S* design depends on:
 
+* **communication protocol** (``Y01``/``T0x`` rules) — every
+  ``recv``/``barrier`` is ``yield``-ed, tags inside loops carry a loop
+  discriminator, and send/recv tag kinds pair up with matching arity
+  (tagged one-sided puts: a tag names one logical transfer);
 * **determinism** (``D1xx`` rules) — nothing that feeds numerics or
   message-emission order may depend on an unordered collection, global RNG
   state, wall-clock time, or object identities;
@@ -14,7 +17,7 @@ S* design depends on, by tracking values through assignments and calls:
 
 The framework is a rule registry with per-rule severities, per-line
 ``# lint: disable=RULE`` suppressions, text/JSON rendering and a
-``repro lint`` CLI verb; the two passes are interprocedural within the
+``repro lint`` CLI verb; the dataflow passes are interprocedural within the
 linted file set (function summaries — "returns a fresh buffer", "returns
 an alias of parameter p", "mutates parameter p", "returns an unordered
 collection" — are resolved across modules via their import graph).
@@ -39,6 +42,7 @@ from .core import (
     max_severity,
     count_at_or_above,
 )
+from . import protocol  # noqa: F401  (registers Y01/T0x rules)
 from . import determinism  # noqa: F401  (registers D1xx rules)
 from . import aliasing  # noqa: F401  (registers Z2xx rules)
 from .certify import (

@@ -77,7 +77,8 @@ class ZeroCopyCertificate:
 
     ``modules`` maps a dotted module name to::
 
-        {"path": str, "sha256": hex, "clean": bool, "findings": [str, ...]}
+        {"path": package-relative str, "sha256": hex, "clean": bool,
+         "findings": [str, ...]}
 
     ``covers(name)`` is the authorisation check the simulator uses: the
     module must be present, Z-rule clean, and its installed source must
@@ -160,8 +161,11 @@ def build_certificate(paths=None, env_names=("env",)) -> ZeroCopyCertificate:
         if name is None:
             continue
         hits = by_path.get(str(Path(fp).resolve()), [])
+        # package-relative, so the committed file is checkout-independent
+        rel = Path(*name.split("."))
+        rel = rel / "__init__.py" if fp.name == "__init__.py" else rel.with_suffix(".py")
         modules[name] = {
-            "path": str(fp),
+            "path": rel.as_posix(),
             "sha256": _sha256_file(fp),
             "clean": not hits,
             "findings": [

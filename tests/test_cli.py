@@ -144,13 +144,25 @@ class TestBenchService:
         assert "multi-RHS" in out
 
 
-class TestVerifyComm:
-    def test_static_only_all_modules(self, capsys):
-        assert main(["verify-comm", "--all-parallel-modules", "--static-only"]) == 0
-        out = capsys.readouterr().out
-        assert "static comm-lint" in out
-        assert "PASS" in out
+class TestLint:
+    def test_protocol_rules_all_modules(self, capsys):
+        assert main(["lint", "--select", "Y01,T01,T02,T03"]) == 0
+        assert "0 findings" in capsys.readouterr().out
 
+    def test_missing_path_is_usage_error(self, tmp_path, capsys):
+        rc = main(["lint", str(tmp_path / "nosuch"), "--fail-on=warning"])
+        assert rc == 2
+        assert "no .py files" in capsys.readouterr().err
+
+    def test_path_without_python_files_is_usage_error(self, tmp_path, capsys):
+        notes = tmp_path / "README.md"
+        notes.write_text("# notes\n")
+        assert main(["lint", str(notes)]) == 2
+        assert main(["lint", str(tmp_path)]) == 2
+        assert "no .py files" in capsys.readouterr().err
+
+
+class TestVerifyComm:
     def test_full_small_run(self, capsys):
         assert main(
             [

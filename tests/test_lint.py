@@ -9,6 +9,7 @@ the typed error (and the MUTATE trace rule) fire.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +33,18 @@ def rules_of(findings):
     return [f.rule for f in findings]
 
 
+#: the corpus below pins the dataflow passes; its toy snippets use
+#: deliberately one-sided tags, which the protocol rules (Y01/T0x, pinned
+#: in test_verify.py) would also report
+DATAFLOW_RULES = sorted(r for r in RULES if r[0] in "DZ")
+
+
+def lint_dataflow(src, **kw):
+    return lint_source(src, select=DATAFLOW_RULES, **kw)
+
+
 def lint_rules(src, **kw):
-    return rules_of(lint_source(src, **kw))
+    return rules_of(lint_dataflow(src, **kw))
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +128,7 @@ class TestFramework:
 class TestDeterminism:
     def test_d101_set_iteration(self):
         src = "def f(xs):\n    s = set(xs)\n    for x in s:\n        print(x)\n"
-        findings = lint_source(src)
+        findings = lint_dataflow(src)
         assert rules_of(findings) == ["D101"]
         assert findings[0].line == 3
 
@@ -206,13 +217,13 @@ class TestDeterminism:
             "    t0 = time.perf_counter()\n"
             "    yield env.recv(('x', 0))\n"
         )
-        findings = lint_source(src)
+        findings = lint_dataflow(src)
         assert rules_of(findings) == ["D104"]
         assert findings[0].severity == Severity.WARNING
 
     def test_d104_wall_clock_in_host_code_is_note(self):
         src = "import time\ndef bench():\n    return time.perf_counter()\n"
-        findings = lint_source(src)
+        findings = lint_dataflow(src)
         assert rules_of(findings) == ["D104"]
         assert findings[0].severity == Severity.NOTE
 
@@ -274,7 +285,7 @@ class TestAliasing:
             "    buf[0] = 1.0\n"
             "    yield env.recv(('u', 0))\n"
         )
-        findings = lint_source(src)
+        findings = lint_dataflow(src)
         assert rules_of(findings) == ["Z201"]
         assert findings[0].line == 5
         assert "line 4" in findings[0].message
@@ -358,7 +369,7 @@ class TestAliasing:
             "    cache[0] = msg\n"
             "    msg.fill(0.0)\n"
         )
-        findings = lint_source(src)
+        findings = lint_dataflow(src)
         assert rules_of(findings) == ["Z202"]
         assert findings[0].line == 4
 
@@ -557,24 +568,26 @@ class TestCli:
         assert main(["lint", str(p)]) == 0
         assert "0 findings" in capsys.readouterr().out
 
-    def test_verify_comm_static_json(self, capsys):
-        rc = main(["verify-comm", "--all-parallel-modules", "--static-only",
-                   "--json"])
+    def test_protocol_rules_json(self, capsys):
+        import repro.parallel
+
+        root = str(Path(repro.parallel.__file__).parent)
+        rc = main(["lint", root, "--select", "Y01,T01,T02,T03", "--json"])
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0
-        assert doc["ok"] is True
-        assert "oned.py" in doc["static"]
+        assert doc["failures"] == 0 and doc["findings"] == []
+        assert doc["rules"]["Y01"]["severity"] == "error"
 
-    def test_verify_comm_fail_on_threshold(self, tmp_path, capsys):
+    def test_protocol_rules_fail_on_threshold(self, tmp_path, capsys):
         bad = tmp_path / "badmod.py"
         bad.write_text(
             "def prog(env):\n"
             "    env.recv(('x', 0))\n"   # Y01: recv not yielded (error)
             "    yield env.barrier()\n"
         )
-        rc = main(["verify-comm", "--module", str(bad), "--static-only"])
+        select = ["--select", "Y01,T01,T02,T03"]
+        rc = main(["lint", str(bad), *select, "--fail-on=warning"])
         assert rc == 1
         assert "Y01" in capsys.readouterr().out
-        rc = main(["verify-comm", "--module", str(bad), "--static-only",
-                   "--fail-on=never"])
+        rc = main(["lint", str(bad), *select, "--fail-on=never"])
         assert rc == 0

@@ -1,8 +1,5 @@
 """Parallelism profiling of the task DAG."""
 
-import json
-
-
 from repro.machine import T3E
 from repro.matrices import dense_matrix, random_nonsymmetric
 from repro.ordering import prepare_matrix
@@ -46,26 +43,3 @@ class TestProfile:
         """The paper's 'mixed granularities': task durations spread widely."""
         p = parallelism_profile(_tg(n=90, seed=7), T3E)
         assert p.granularity_spread > 2.0
-
-
-class TestChromeTrace:
-    def test_export(self, tmp_path):
-        from repro.analysis import export_chrome_trace
-        from repro.machine import T3E as spec
-        from repro.parallel import run_2d
-        from repro.matrices import random_nonsymmetric
-        from repro.ordering import prepare_matrix
-        from repro.supernodes import build_block_structure, build_partition
-        from repro.symbolic import static_symbolic_factorization
-
-        A = random_nonsymmetric(50, density=0.1, seed=8)
-        om = prepare_matrix(A)
-        sym = static_symbolic_factorization(om.A)
-        part = build_partition(sym, max_size=5, amalgamation=2)
-        bstruct = build_block_structure(sym, part)
-        res = run_2d(om.A, part, bstruct, 4, spec)
-        out = tmp_path / "trace.json"
-        export_chrome_trace(res.sim.spans, out)
-        data = json.loads(out.read_text())
-        assert len(data["traceEvents"]) == len(res.sim.spans)
-        assert all(e["ph"] == "X" for e in data["traceEvents"])

@@ -1,9 +1,13 @@
-"""The repro.verify analyzer suite: seeded-bug detection + clean passes.
+"""Protocol analyzers: seeded-bug detection + clean passes.
 
 Each seeded-bug test injects exactly one protocol defect into a toy SPMD
-program (or source snippet) and asserts the matching analysis flags exactly
-that defect, with a diagnostic naming the offending rank/tag/call-site.
+program (or source snippet) and asserts the matching analysis — the
+static protocol rules of :mod:`repro.lint` or the dynamic checks of
+:mod:`repro.verify` — flags exactly that defect, with a diagnostic naming
+the offending rank/tag/call-site.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,14 +15,14 @@ import pytest
 from repro.machine import DeadlockError, GENERIC, SimTrace, Simulator
 from repro.machine.simulator import MessageRecord
 from repro.taskgraph import FACTOR, UPDATE
+import repro.parallel
+from repro.lint import RULES, lint_paths, lint_source
 from repro.verify import (
     ProtocolViolationError,
     check_messages,
     check_run,
     check_spans_against_dag,
     host_orders,
-    lint_parallel_modules,
-    lint_source,
     parse_span_label,
     replay_check,
 )
@@ -30,96 +34,99 @@ def run_traced(nprocs, program, args=(), **kw):
 
 
 # ---------------------------------------------------------------------------
-# static comm-lint
+# static protocol rules (the repro.lint protocol pass)
 # ---------------------------------------------------------------------------
+
+PROTOCOL_RULES = ["Y01", "T01", "T02", "T03"]
+
+# (case, source, rules selected, expected [(rule, line)], message needle)
+PROTOCOL_CASES = [
+    ("dropped_yield_on_recv",
+     "def prog(env):\n"
+     "    env.recv(('x', 0))\n"
+     "    yield env.barrier()\n",
+     ["Y01"], [("Y01", 2)], "`recv` is not yielded"),
+    ("dropped_yield_on_barrier",
+     "def prog(env):\n"
+     "    env.barrier()\n"
+     "    v = yield env.recv(('x', 0))\n"
+     "    env.send(1, ('x', 0), v)\n",
+     ["Y01"], [("Y01", 2)], "`barrier` is not yielded"),
+    # both the send and the recv reuse the tag across iterations
+    ("missing_loop_discriminator",
+     "def prog(env, n):\n"
+     "    for i in range(n):\n"
+     "        env.send(1, ('x',), i)\n"
+     "        v = yield env.recv(('x',))\n",
+     ["T03"], [("T03", 3), ("T03", 4)], "loop names: ['i']"),
+    ("loop_derived_tag_accepted",
+     "def prog(env, tasks):\n"
+     "    for task in tasks:\n"
+     "        k = task[1]\n"
+     "        env.send(1, ('col', k), k)\n"
+     "        v = yield env.recv(('col', k))\n",
+     PROTOCOL_RULES, [], None),
+    ("arity_mismatch",
+     "def prog(env, n):\n"
+     "    for i in range(n):\n"
+     "        env.send(1, ('a', i), i)\n"
+     "        v = yield env.recv(('a', i, 0))\n",
+     ["T01"], [("T01", 3)], "tag kind 'a'"),
+    ("one_sided_kind",
+     "def prog(env, n):\n"
+     "    for i in range(n):\n"
+     "        env.send(1, ('orphan', i), i)\n",
+     ["T02"], [("T02", 3)], "'orphan' is sent (line 3) but never received"),
+    ("multicast_counts_as_send",
+     "def prog(env, n):\n"
+     "    for i in range(n):\n"
+     "        env.multicast([1, 2], ('m',), i)\n",
+     ["T02", "T03"], [("T02", 3), ("T03", 3)], None),
+    ("suppression",
+     "def prog(env, n):\n"
+     "    for i in range(n):\n"
+     "        env.send(1, ('x',), i)  # lint: disable=T03\n",
+     ["T03"], [], None),
+]
 
 
 class TestCommLint:
-    def test_dropped_yield_on_recv(self):
-        src = (
-            "def prog(env):\n"
-            "    env.recv(('x', 0))\n"
-            "    yield env.barrier()\n"
-        )
-        findings = lint_source(src, path="toy.py")
-        y01 = [f for f in findings if f.rule == "Y01"]
-        assert len(y01) == 1
-        assert y01[0].line == 2
-        assert "recv" in y01[0].message and "yield" in y01[0].message
+    @pytest.mark.parametrize(
+        "src,select,expected,needle",
+        [case[1:] for case in PROTOCOL_CASES],
+        ids=[case[0] for case in PROTOCOL_CASES],
+    )
+    def test_seeded_case(self, src, select, expected, needle):
+        findings = lint_source(src, path="toy.py", select=select)
+        assert [(f.rule, f.line) for f in findings] == expected
+        for f in findings:
+            assert f.severity == RULES[f.rule].severity
+            if needle is not None:
+                assert needle in f.message
 
-    def test_dropped_yield_on_barrier(self):
-        src = (
-            "def prog(env):\n"
-            "    env.barrier()\n"
-            "    v = yield env.recv(('x', 0))\n"
-            "    env.send(1, ('x', 0), v)\n"
-        )
-        rules = {f.rule for f in lint_source(src)}
-        assert "Y01" in rules
+    def test_rule_severities(self):
+        assert {r: RULES[r].severity for r in PROTOCOL_RULES} == {
+            "Y01": "error", "T01": "error",
+            "T02": "warning", "T03": "warning",
+        }
 
-    def test_tag_missing_loop_discriminator(self):
-        src = (
-            "def prog(env, n):\n"
-            "    for i in range(n):\n"
-            "        env.send(1, ('x',), i)\n"
-            "        v = yield env.recv(('x',))\n"
+    def test_module_outside_parallel_is_checked(self, tmp_path):
+        mod = tmp_path / "service" / "worker.py"
+        mod.parent.mkdir()
+        mod.write_text(
+            "def serve(env, jobs):\n"
+            "    for job in jobs:\n"
+            "        env.send(0, ('done', job), job)\n"
+            "        env.recv(('done', job))\n"
         )
-        t03 = [f for f in lint_source(src, path="toy.py") if f.rule == "T03"]
-        assert len(t03) == 2  # both the send and the recv reuse the tag
-        assert t03[0].line == 3
-        assert "'i'" in t03[0].message or "i" in t03[0].message
-
-    def test_tag_derived_from_loop_target_accepted(self):
-        src = (
-            "def prog(env, tasks):\n"
-            "    for task in tasks:\n"
-            "        k = task[1]\n"
-            "        env.send(1, ('col', k), k)\n"
-            "        v = yield env.recv(('col', k))\n"
-        )
-        assert lint_source(src) == []
-
-    def test_arity_mismatch_flagged(self):
-        src = (
-            "def prog(env, n):\n"
-            "    for i in range(n):\n"
-            "        env.send(1, ('a', i), i)\n"
-            "        v = yield env.recv(('a', i, 0))\n"
-        )
-        t01 = [f for f in lint_source(src) if f.rule == "T01"]
-        assert len(t01) == 1
-        assert "'a'" in t01[0].message
-
-    def test_one_sided_kind_flagged(self):
-        src = (
-            "def prog(env, n):\n"
-            "    for i in range(n):\n"
-            "        env.send(1, ('orphan', i), i)\n"
-        )
-        t02 = [f for f in lint_source(src) if f.rule == "T02"]
-        assert len(t02) == 1
-        assert "never" in t02[0].message and "'orphan'" in t02[0].message
-
-    def test_suppression_marker(self):
-        src = (
-            "def prog(env, n):\n"
-            "    for i in range(n):\n"
-            "        env.send(1, ('x',), i)  # commlint: ok\n"
-        )
-        assert [f for f in lint_source(src) if f.rule == "T03"] == []
-
-    def test_multicast_counts_as_send(self):
-        src = (
-            "def prog(env, n):\n"
-            "    for i in range(n):\n"
-            "        env.multicast([1, 2], ('m',), i)\n"
-        )
-        rules = {f.rule for f in lint_source(src)}
-        assert "T03" in rules and "T02" in rules
+        findings = lint_paths([tmp_path], select=PROTOCOL_RULES)
+        assert [(f.rule, f.line) for f in findings] == [("Y01", 4)]
+        assert findings[0].path == str(mod)
 
     def test_repo_parallel_modules_are_clean(self):
-        for path, findings in lint_parallel_modules().items():
-            assert findings == [], f"{path}: {[str(f) for f in findings]}"
+        root = Path(repro.parallel.__file__).parent
+        findings = lint_paths([root], select=PROTOCOL_RULES)
+        assert findings == [], [str(f) for f in findings]
 
 
 # ---------------------------------------------------------------------------
