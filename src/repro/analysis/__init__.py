@@ -1,5 +1,6 @@
 """Performance analysis: MFLOPS reporting, load balance, the Eq. (1)-(4)
-sequential model, and Theorem 2 overlap checks."""
+sequential model, and Theorem 2 overlap checks (``overlap_profile`` over
+the :class:`repro.obs.Span` task records of a simulated run)."""
 
 from .mflops import achieved_mflops, operation_count
 from .loadbalance import load_balance_factor
@@ -22,7 +23,7 @@ from .stability import (
     iterative_refinement,
 )
 from .condest import condest, onenorm, onenormest_inverse
-from .timeline import render_timeline, overlap_profile
+from .timeline import overlap_profile
 from .comm import CommReport, comm_report_from_envs, predicted_1d_volume
 
 __all__ = [
@@ -44,7 +45,6 @@ __all__ = [
     "condest",
     "onenorm",
     "onenormest_inverse",
-    "render_timeline",
     "overlap_profile",
     "CommReport",
     "comm_report_from_envs",

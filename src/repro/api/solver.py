@@ -37,6 +37,36 @@ from ..sparse import CSRMatrix, dense_to_csr
 _MACHINES = {"T3D": T3D, "T3E": T3E, "GENERIC": GENERIC}
 
 
+def check_system(A=None, b=None, n: int = None):
+    """Reject a system the solver cannot handle, naming the problem.
+
+    ``A`` (a :class:`CSRMatrix`) must be square, non-empty and finite.
+    ``b`` must be finite with shape ``(n,)`` or ``(n, k)``, where ``n`` is
+    ``A``'s order unless given.  Raises ``ValueError``; returns ``b`` as a
+    float64 array (None when not given).
+    """
+    if A is not None:
+        if A.nrows != A.ncols:
+            raise ValueError(f"A must be square; got {A.nrows}x{A.ncols}")
+        if A.nrows == 0:
+            raise ValueError("A is empty (0x0); nothing to factor")
+        bad = A.data.size - int(np.count_nonzero(np.isfinite(A.data)))
+        if bad:
+            raise ValueError(f"A has {bad} non-finite (NaN/inf) entries")
+        n = A.nrows
+    if b is None:
+        return None
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(
+            f"rhs must have shape ({n},) or ({n}, k); got {b.shape}"
+        )
+    bad = b.size - int(np.count_nonzero(np.isfinite(b)))
+    if bad:
+        raise ValueError(f"rhs has {bad} non-finite (NaN/inf) entries")
+    return b
+
+
 @dataclass
 class FactorizationReport:
     """Statistics from a completed factorization."""
@@ -315,6 +345,7 @@ class SStarSolver:
             A = dense_to_csr(A)
         if not isinstance(A, CSRMatrix):
             raise TypeError("A must be a CSRMatrix or dense ndarray")
+        check_system(A)
         if self.tune:
             self._resolve_plan(A)
         art, om, cache_key, reused = self._analyze(A, reuse)
@@ -506,12 +537,7 @@ class SStarSolver:
         """
         if self._lu is None:
             raise RuntimeError("call factor(A) first")
-        b = np.asarray(b, dtype=np.float64)
-        if b.ndim not in (1, 2) or b.shape[0] != self._lu.n:
-            raise ValueError(
-                f"rhs must have shape ({self._lu.n},) or ({self._lu.n}, k); "
-                f"got {b.shape}"
-            )
+        b = check_system(b=b, n=self._lu.n)
         if self.tracer is not None:
             # modeled virtual cost of the two triangular sweeps: ~4 flops
             # per factor entry per right-hand side, panel (dgemm) rate for

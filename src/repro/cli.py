@@ -13,14 +13,13 @@ Commands
 ``profile``    per-rank busy/comm/idle breakdown, critical path and
                model-vs-observed drift from a traced run (or a saved trace)
 ``validate``   run the full invariant battery on a matrix
-``verify-comm`` static + dynamic + replay communication-protocol analyses
+``verify-comm`` dynamic trace check + determinism replay of the comm protocols
 ``lint``       dataflow static analysis: determinism (D1xx) and zero-copy
                aliasing (Z2xx) rules over the codebase
 ``serve-demo`` run a synthetic workload through the SolveService front end
 ``chaos``      seeded fault-injection campaign over the 1D/2D/resilient
                solvers and the service, with oracle checks and optional
                failing-schedule shrinking to a JSON repro artifact
-``bench-service`` cold factor vs cached refactor vs batched-RHS timings
 ``tune``       model-guided autotuning: prune the block-size/grid/layout
                space with the Eq. (4) model, rank survivors with budgeted
                successive-halving simulator probes
@@ -628,52 +627,6 @@ def cmd_serve_demo(args) -> int:
     return 0 if m.jobs_failed == 0 else 1
 
 
-def cmd_bench_service(args) -> int:
-    import time
-
-    from .api import SStarSolver
-    from .matrices import get_matrix
-    from .service import AnalysisCache
-
-    A = _load(args.matrix) if args.matrix else get_matrix(args.name, "small")
-    rng = np.random.default_rng(args.seed)
-    cache = AnalysisCache()
-    SStarSolver(analysis_cache=cache).factor(A)  # prime the cache
-
-    t_cold = t_warm = 0.0
-    for _ in range(args.repeats):
-        Ai = _perturbed(A, rng)
-        t0 = time.perf_counter()
-        SStarSolver().factor(Ai)
-        t_cold += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        warm = SStarSolver(analysis_cache=cache).refactor(Ai)
-        t_warm += time.perf_counter() - t0
-        assert warm.report.analysis_reused
-    t_cold /= args.repeats
-    t_warm /= args.repeats
-
-    solver = SStarSolver(analysis_cache=cache).refactor(_perturbed(A, rng))
-    B = rng.uniform(-1, 1, (A.nrows, args.nrhs))
-    t0 = time.perf_counter()
-    for j in range(args.nrhs):
-        solver.solve(B[:, j])
-    t_seq = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    solver.solve(B)
-    t_batch = time.perf_counter() - t0
-
-    print(f"matrix              : n={A.nrows} nnz={A.nnz} "
-          f"(mean of {args.repeats} run(s))")
-    print(f"cold factor         : {t_cold * 1e3:.2f} ms (full analyze phase)")
-    print(f"cached refactor     : {t_warm * 1e3:.2f} ms (numeric only)")
-    print(f"analyze amortization: {t_cold / t_warm:.1f}x")
-    print(f"{args.nrhs} sequential solves: {t_seq * 1e3:.2f} ms")
-    print(f"one ({A.nrows},{args.nrhs}) block solve : {t_batch * 1e3:.2f} ms")
-    print(f"multi-RHS speedup   : {t_seq / t_batch:.1f}x")
-    return 0
-
-
 def cmd_tune(args) -> int:
     import json as _json
 
@@ -1015,18 +968,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="virtual seconds between submissions")
     sd.add_argument("--seed", type=int, default=0)
     sd.set_defaults(func=cmd_serve_demo)
-
-    bs = sub.add_parser(
-        "bench-service",
-        help="wall-clock: cold factor vs cached refactor vs batched-RHS solve",
-    )
-    bs.add_argument("--matrix", help="MatrixMarket file (default: suite matrix)")
-    bs.add_argument("--name", default="sherman5",
-                    help="suite matrix when no --matrix is given")
-    bs.add_argument("--repeats", type=int, default=3)
-    bs.add_argument("--nrhs", type=int, default=8)
-    bs.add_argument("--seed", type=int, default=0)
-    bs.set_defaults(func=cmd_bench_service)
 
     tn = sub.add_parser(
         "tune",

@@ -8,6 +8,11 @@ numerics; compute and communication advance per-rank virtual clocks priced
 by a :class:`MachineSpec` calibrated to the paper's published kernel and
 network figures.
 
+Runs record task spans and (``trace=True``) per-attempt message records
+as the :mod:`repro.obs` types :class:`~repro.obs.Span` and
+:class:`~repro.obs.TraceMessage`, so the verifiers, profiler and Gantt
+renderer read one record stream.
+
 :mod:`faults` adds deterministic fault injection (message drop/duplicate/
 delay/corrupt, rank crashes) and the opt-in reliable-delivery transport;
 see DESIGN.md "Resilience".
@@ -25,8 +30,6 @@ from .simulator import (
     Simulator,
     Env,
     SimResult,
-    SimTrace,
-    MessageRecord,
     DeadlockError,
     DeliveryError,
     MessageLostError,
@@ -34,7 +37,6 @@ from .simulator import (
     RankCrashedError,
     Timeout,
     TIMEOUT,
-    TaskSpan,
 )
 
 __all__ = [
@@ -50,8 +52,6 @@ __all__ = [
     "Simulator",
     "Env",
     "SimResult",
-    "SimTrace",
-    "MessageRecord",
     "DeadlockError",
     "DeliveryError",
     "MessageLostError",
@@ -59,5 +59,4 @@ __all__ = [
     "RankCrashedError",
     "Timeout",
     "TIMEOUT",
-    "TaskSpan",
 ]

@@ -23,8 +23,10 @@ Semantics (matching the shmem/RMA style the paper's codes rely on):
 * ``barrier`` synchronises all ranks at ``max(clocks) + barrier cost``.
 
 The simulator records per-rank busy time, message counts/bytes, and labeled
-task spans (used for Gantt charts, load-balance factors and the Theorem 2
-overlap-degree measurements).
+task spans as :class:`repro.obs.Span` records (used for Gantt charts,
+load-balance factors and the Theorem 2 overlap-degree measurements);
+``trace=True`` adds one :class:`repro.obs.TraceMessage` per transmission
+attempt.
 """
 
 from __future__ import annotations
@@ -154,61 +156,6 @@ class DeadlockError(RuntimeError):
         super().__init__(message)
         self.blocked = blocked or []
         self.pending = pending or {}
-
-
-@dataclass
-class TaskSpan:
-    """A labeled interval of work on one rank (for Gantt/overlap analysis)."""
-
-    rank: int
-    label: str
-    start: float
-    end: float
-
-
-@dataclass
-class MessageRecord:
-    """One transmission attempt in a :class:`SimTrace` (send-ordered).
-
-    ``logical`` identifies the logical transfer: retransmissions and
-    fault-injected duplicates of one ``send`` share it, which is how the
-    trace checker distinguishes them from genuine tag reuse.
-    """
-
-    seq: int
-    src: int
-    dest: int
-    tag: object
-    send_clock: float  # sender clock when the send was issued
-    arrival: float  # when the payload lands in the destination mailbox
-    nbytes: int
-    recv_time: float = None  # receiver clock at consumption (None = never)
-    consumed: bool = False
-    logical: int = None  # logical transfer id (seq of the first attempt)
-    attempt: int = 0  # 0 = first transmission, >0 = retransmit
-    dropped: bool = False  # lost to fault injection (never deposited)
-    duplicate: bool = False  # fault-injected extra copy
-    corrupted: bool = False  # payload corrupted in flight
-    mutated: bool = False  # sender wrote to the payload after posting it
-
-
-@dataclass
-class SimTrace:
-    """Message-level trace of one simulated run (``Simulator(trace=True)``)."""
-
-    records: list = field(default_factory=list)
-
-    def undelivered(self) -> list:
-        """Messages deposited but never received (mailbox leaks)."""
-        return [r for r in self.records if not r.consumed]
-
-    def by_src(self) -> dict:
-        """Records grouped per sender, preserving each sender's send order
-        (the host-scheduling-independent view used by the replay checker)."""
-        out = {}
-        for r in self.records:
-            out.setdefault(r.src, []).append(r)
-        return out
 
 
 # rank scheduling states (module-level so _deposit can test for _RECV)
@@ -653,7 +600,7 @@ class Env:
     def span(self, label: str, start: float, end: float = None) -> None:
         """Record a labeled task interval ending at the current clock."""
         end = self.clock if end is None else end
-        self.spans.append(TaskSpan(self.rank, label, start, end))
+        self.spans.append(_obs.Span(self.rank, label, _obs.TASK, start, end))
         tr = self._sim.tracer
         if tr is not None:
             tr.span(self.rank, label, _obs.TASK, start, end)
@@ -667,11 +614,12 @@ class SimResult:
     rank_clocks: list
     rank_busy: list
     counters: list  # per-rank KernelCounter
-    spans: list  # all TaskSpans
+    spans: list  # all task spans (repro.obs.Span, cat TASK), rank order
     messages: int
     bytes_sent: int
     returns: list  # per-rank program return values
-    trace: SimTrace = None  # message trace (only when Simulator(trace=True))
+    # TraceMessage per transmission attempt in send order (trace=True only)
+    trace: list = None
     crashed: list = field(default_factory=list)  # ranks dead at exit
     fault_stats: FaultStats = field(default_factory=FaultStats)
 
@@ -715,9 +663,10 @@ class Simulator:
         """``program(env, *args)`` must return a generator (it may also be a
         plain function for compute-only ranks).
 
-        ``trace=True`` records a :class:`SimTrace` of every message (attached
-        to the result as ``SimResult.trace``) for the :mod:`repro.verify`
-        checkers.  ``host_order`` is a permutation of ``range(nprocs)`` that
+        ``trace=True`` records every transmission attempt as a
+        :class:`repro.obs.TraceMessage` (the list ``SimResult.trace``, in
+        send order; ``t_recv`` stays None for a message never consumed) for
+        the :mod:`repro.verify` checkers.  ``host_order`` is a permutation of ``range(nprocs)`` that
         perturbs the *host* scheduling order (which runnable rank the event
         loop advances first); simulated semantics must not depend on it —
         the replay checker asserts exactly that.
@@ -750,8 +699,7 @@ class Simulator:
         ``repro lint --certify`` and only engages when ``program``'s module
         is certified clean (and its source unchanged since certification).
         Pass a path / :class:`repro.lint.certify.ZeroCopyCertificate` to use
-        a different certificate, or the string ``"unchecked"`` to trust the
-        caller (tests/benchmarks only).  ``sanitize=True`` always restores
+        a different certificate.  ``sanitize=True`` always restores
         copying so the dynamic write-after-send checker keeps its
         pre-mutation reference bytes — CI cross-checks zero-copy runs
         bit-for-bit this way.
@@ -792,7 +740,7 @@ class Simulator:
             for c in faults.crashes:
                 if 0 <= c.rank < nprocs:
                     self._crash_time[c.rank] = c.at_time
-        self.trace = SimTrace() if trace else None
+        self.trace = [] if trace else None
         if host_order is None:
             self._order = list(range(nprocs))
         else:
@@ -807,15 +755,12 @@ class Simulator:
         self._zc_requested = bool(zero_copy)
         self._zc_certified = False
         if zero_copy:
-            if zero_copy == "unchecked":
-                self._zc_certified = True
-            else:
-                from ..lint.certify import certificate_covers
+            from ..lint.certify import certificate_covers
 
-                self._zc_certified = certificate_covers(
-                    getattr(program, "__module__", None),
-                    cert=None if zero_copy is True else zero_copy,
-                )
+            self._zc_certified = certificate_covers(
+                getattr(program, "__module__", None),
+                cert=None if zero_copy is True else zero_copy,
+            )
         self.zero_copy = False  # effective flag, finalised at run()
         self._fast_send = False  # finalised at run()
         # event-scheduler wake set + run-state views (populated by run();
@@ -834,13 +779,13 @@ class Simulator:
         self._seq += 1
         record = None
         if self.trace is not None:
-            record = MessageRecord(
-                seq=self._seq, src=src, dest=dest, tag=tag,
-                send_clock=send_clock, arrival=arrival, nbytes=nbytes,
+            record = _obs.TraceMessage(
+                src, dest, tag, send_clock, None, nbytes, arrival,
+                seq=self._seq,
                 logical=self._seq if logical is None else logical,
                 attempt=attempt, duplicate=duplicate, corrupted=corrupted,
             )
-            self.trace.records.append(record)
+            self.trace.append(record)
         key = (dest, tag)
         entry = (arrival, self._seq, payload, src, record, guard,
                  send_clock, nbytes)
@@ -868,13 +813,13 @@ class Simulator:
         self._seq += 1
         record = None
         if self.trace is not None:
-            record = MessageRecord(
-                seq=self._seq, src=src, dest=dest, tag=tag,
-                send_clock=send_clock, arrival=arrival, nbytes=nbytes,
+            record = _obs.TraceMessage(
+                src, dest, tag, send_clock, None, nbytes, arrival,
+                seq=self._seq,
                 logical=self._seq if logical is None else logical,
                 attempt=attempt, dropped=True, corrupted=corrupted,
             )
-            self.trace.records.append(record)
+            self.trace.append(record)
         return record
 
     def _note_lost(self, dest, tag, src):
@@ -908,7 +853,7 @@ class Simulator:
         label = None
         for s in self.envs[src].spans:
             if s.start <= send_clock <= s.end:
-                label = s.label  # keep the last (innermost) match
+                label = s.name  # keep the last (innermost) match
         return label
 
     def _check_guard(self, guard, record=None, when="it was consumed"):
@@ -1143,8 +1088,7 @@ class Simulator:
             if arrival > env.clock:
                 env.clock = arrival
             if record is not None:
-                record.consumed = True
-                record.recv_time = env.clock
+                record.t_recv = env.clock
             if tr is not None:
                 if env.clock > blocked_at[r]:
                     tr.span(

@@ -7,6 +7,8 @@ virtual-time spans and matched messages.  Export with
 :func:`to_chrome_trace` (Perfetto-loadable), summarize with
 :func:`render_summary`, analyze with :func:`profile_trace` /
 :func:`reconcile`, and count things with :class:`MetricsRegistry`.
+:class:`Span` and :class:`TraceMessage` are also the simulator's own
+records (``SimResult.spans``, ``SimResult.trace``).
 """
 
 from .metrics import (

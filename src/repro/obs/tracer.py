@@ -104,15 +104,29 @@ class Span:
 
 @dataclass(**_SLOTS)
 class TraceMessage:
-    """One matched send→recv transfer (rendered as a Perfetto flow arrow)."""
+    """One send→recv transfer (rendered as a Perfetto flow arrow).
+
+    A :class:`Tracer` records matched pairs only.  ``Simulator(trace=True)``
+    records every transmission attempt in send order and fills the
+    per-attempt fields below; ``logical`` identifies the logical transfer
+    (retransmissions and fault-injected duplicates of one ``send`` share
+    it, which is how the trace checker tells them from genuine tag reuse).
+    """
 
     src: object
     dest: object
     tag: object
     t_send: float  # sender clock when the send was issued
-    t_recv: float  # receiver clock at consumption
+    t_recv: float  # receiver clock at consumption (None = never consumed)
     nbytes: int = 0
     arrival: float = None  # mailbox deposit time (== t_recv when it bound)
+    seq: int = None  # simulator send sequence number
+    logical: int = None  # logical transfer id (seq of the first attempt)
+    attempt: int = 0  # 0 = first transmission, >0 = retransmit
+    dropped: bool = False  # lost to fault injection (never deposited)
+    duplicate: bool = False  # fault-injected extra copy
+    corrupted: bool = False  # payload corrupted in flight
+    mutated: bool = False  # sender wrote to the payload after posting it
 
     def key(self) -> tuple:
         return (repr(self.src), repr(self.dest), tag_label(self.tag),

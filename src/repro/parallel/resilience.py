@@ -129,6 +129,31 @@ def _run_resilient(runner, A, part, bstruct, nprocs, spec, *,
     out = ResilientResult(factor=None, nprocs_final=nprocs)
     restarts = 0
     k = 0
+
+    def discard_crashed_round(ranks, seconds, exhausted, no_survivors):
+        """Book a round lost to rank crashes and shrink the grid by the
+        dead ranks; raise ``exhausted()`` when the restart budget is spent
+        and ``no_survivors()`` when nobody is left."""
+        nonlocal restarts, plan, nprocs
+        restarts += 1
+        if restarts > max_restarts:
+            raise exhausted()
+        out.rounds.append(RoundInfo(
+            window, nprocs, ok=False, crashed=tuple(ranks), seconds=seconds,
+        ))
+        note_round(window, round_start, False, ranks, seconds, nprocs)
+        out.total_time += seconds
+        # drop the dead ranks highest first so the renumbering in
+        # after_crash stays consistent; the elapsed shift applies once,
+        # not per dead rank
+        elapsed = seconds
+        for dead in sorted(ranks, reverse=True):
+            plan = plan.after_crash(dead, elapsed)
+            elapsed = 0.0
+            nprocs -= 1
+        if nprocs < 1:
+            raise no_survivors()
+
     while k < N:
         window = (k, min(k + int(ckpt_interval), N))
         round_start = out.total_time
@@ -166,67 +191,38 @@ def _run_resilient(runner, A, part, bstruct, nprocs, spec, *,
             plan = plan.without_corrupt()
             continue  # re-run the same window from the checkpoint
         except RankCrashedError as e:
-            restarts += 1
-            if restarts > max_restarts:
-                raise
-            out.rounds.append(RoundInfo(
-                window, nprocs, ok=False, crashed=tuple(e.ranks),
-                seconds=e.detected_at,
-            ))
-            note_round(window, round_start, False, e.ranks, e.detected_at,
-                       nprocs)
-            out.total_time += e.detected_at
-            # shrink the grid: drop the dead ranks (highest first so the
-            # renumbering in after_crash stays consistent; the elapsed
-            # shift applies once, not per dead rank)
-            elapsed = e.detected_at
-            for dead in sorted(e.ranks, reverse=True):
-                plan = plan.after_crash(dead, elapsed)
-                elapsed = 0.0
-                nprocs -= 1
-            if nprocs < 1:
-                raise
+            discard_crashed_round(e.ranks, e.detected_at,
+                                  lambda: e, lambda: e)
             continue  # re-run the same window on the survivors
-        if res.sim.crashed:
+        sim = res.sim
+        if sim.crashed:
             # the round "completed" for the survivors but a rank died with
             # work outstanding: its in-window tasks may be missing, so the
             # round state is not a checkpoint.  Discard and re-run.
-            restarts += 1
-            if restarts > max_restarts:
-                raise RankCrashedError(
+            discard_crashed_round(
+                sim.crashed, sim.total_time,
+                lambda: RankCrashedError(
                     "rank(s) crashed and restart budget is exhausted",
-                    ranks=list(res.sim.crashed),
-                    crash_times=[t for _, t in res.sim.fault_stats.crashes],
-                    detected_at=res.sim.total_time,
+                    ranks=list(sim.crashed),
+                    crash_times=[t for _, t in sim.fault_stats.crashes],
+                    detected_at=sim.total_time,
                     blocked={},
-                )
-            out.rounds.append(RoundInfo(
-                window, nprocs, ok=False, crashed=tuple(res.sim.crashed),
-                seconds=res.sim.total_time,
-            ))
-            note_round(window, round_start, False, res.sim.crashed,
-                       res.sim.total_time, nprocs)
-            out.total_time += res.sim.total_time
-            elapsed = res.sim.total_time
-            for dead in sorted(res.sim.crashed, reverse=True):
-                plan = plan.after_crash(dead, elapsed)
-                elapsed = 0.0
-                nprocs -= 1
-            if nprocs < 1:
-                raise RankCrashedError(
-                    "all ranks crashed", ranks=list(res.sim.crashed),
-                    crash_times=[], detected_at=res.sim.total_time, blocked={},
-                )
+                ),
+                lambda: RankCrashedError(
+                    "all ranks crashed", ranks=list(sim.crashed),
+                    crash_times=[], detected_at=sim.total_time, blocked={},
+                ),
+            )
             continue
         # the round committed: its merged state is the new checkpoint
         checkpoint = res.factor
         out.rounds.append(RoundInfo(
-            window, nprocs, ok=True, seconds=res.sim.total_time,
+            window, nprocs, ok=True, seconds=sim.total_time,
         ))
-        note_round(window, round_start, True, (), res.sim.total_time, nprocs)
-        out.results.append(res.sim)
-        out.total_time += res.sim.total_time
-        plan = plan.shifted(res.sim.total_time)
+        note_round(window, round_start, True, (), sim.total_time, nprocs)
+        out.results.append(sim)
+        out.total_time += sim.total_time
+        plan = plan.shifted(sim.total_time)
         k = window[1]
     out.factor = checkpoint
     out.nprocs_final = nprocs

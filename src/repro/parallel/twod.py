@@ -47,7 +47,6 @@ class TwoDResult:
     sim: object  # SimResult
     grid: Grid2D
     factor: BlockLUMatrix  # merged storage (solvable)
-    update_spans: list  # (rank, K, start, end) intervals of Update_2D stages
 
     @property
     def parallel_seconds(self) -> float:
@@ -55,8 +54,14 @@ class TwoDResult:
 
     def overlap_degree(self) -> int:
         """Measured stage-overlap degree of Update_2D tasks (Theorem 2):
-        max |k' - k| over concurrently executing Update_2D stages."""
-        spans = sorted(self.update_spans, key=lambda s: s[2])
+        max |k' - k| over concurrently executing Update_2D stages (the
+        ``U2D{K}`` task spans of the ranks that did not crash)."""
+        crashed = set(self.sim.crashed)
+        spans = sorted(
+            ((s.track, int(s.name[3:]), s.start, s.end) for s in self.sim.spans
+             if s.name.startswith("U2D") and s.track not in crashed),
+            key=lambda s: s[2],
+        )
         best = 0
         for i, (_, k1, s1, e1) in enumerate(spans):
             for _, k2, s2, e2 in spans[i + 1 :]:
@@ -152,7 +157,6 @@ def _rank_program_2d(env, ctx):
     r, c = grid.coords(env.rank)
     pr, pc = grid.pr, grid.pc
     N = part.N
-    update_spans = []
     pivseqs = [None] * N
     lcol_cache = {}  # K -> {"pivots", "diag", "lblocks"} for my block rows
     urow_cache = {}  # K -> {J: scaled U_KJ} for my block columns
@@ -457,7 +461,6 @@ def _rank_program_2d(env, ctx):
                     )
                     env.compute_counted(snap)
             if env.clock > t0:
-                update_spans.append((env.rank, K, t0, env.clock))
                 env.span(f"U2D{K}", t0)
 
     # ---- main loop (Fig. 12) ---------------------------------------------
@@ -500,10 +503,7 @@ def _rank_program_2d(env, ctx):
                 verify_payload(last, where=f"payload:lcol({N - 1})",
                                column=N - 1, metrics=env.metrics)
             lcol_cache[N - 1] = last
-    return {
-        "pivot_seq": pivseqs,
-        "update_spans": update_spans,
-    }
+    return {"pivot_seq": pivseqs}
 
 
 def run_2d(
@@ -573,12 +573,10 @@ def run_2d(
         for K, seq in enumerate(start_from.pivot_seq):
             if seq is not None:
                 merged.pivot_seq[K] = seq
-    spans = []
     for ret in sim.returns:
         if ret is None:  # rank crashed; its state is on the restart path
             continue
-        spans.extend(ret["update_spans"])
         for K, seq in enumerate(ret["pivot_seq"]):
             if seq is not None:
                 merged.pivot_seq[K] = seq
-    return TwoDResult(sim=sim, grid=grid, factor=merged, update_spans=spans)
+    return TwoDResult(sim=sim, grid=grid, factor=merged)

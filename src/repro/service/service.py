@@ -231,7 +231,8 @@ class SolveService:
 
         ``b`` may be ``(n,)`` or ``(n, k)``.  ``solver_opts`` override the
         service-level solver options for this job only.  Raises
-        :class:`ServiceOverloadError` when the bounded queue is full.
+        :class:`ServiceOverloadError` when the bounded queue is full and
+        ``ValueError`` for an empty, non-square or non-finite system.
         """
         if len(self._queue) >= self.max_queue:
             self._counter("jobs.rejected").inc()
@@ -241,12 +242,9 @@ class SolveService:
                 queue_depth=len(self._queue),
                 max_queue=self.max_queue,
             )
-        b = np.asarray(b, dtype=np.float64)
-        if b.ndim not in (1, 2) or b.shape[0] != A.nrows:
-            raise ValueError(
-                f"rhs must have shape ({A.nrows},) or ({A.nrows}, k); "
-                f"got {b.shape}"
-            )
+        from ..api.solver import check_system
+
+        b = check_system(A, b)
         opts = dict(self.solver_opts)
         opts.update(solver_opts or {})
         opts_key = tuple(sorted((k, repr(v)) for k, v in opts.items()))

@@ -7,7 +7,9 @@ deposited message must eventually be consumed.  This package machine-checks
 that discipline at run time with two cooperating analyses:
 
 * :mod:`tracecheck` — **dynamic** checks over a recorded message trace
-  (``Simulator(trace=True)``): per-``(dest, tag)`` uniqueness, no leaked
+  (``Simulator(trace=True)``: one :class:`repro.obs.TraceMessage` per
+  transmission attempt) and the :class:`repro.obs.Span` task records of
+  ``SimResult.spans``: per-``(dest, tag)`` uniqueness, no leaked
   (never-received) messages, causal delivery, and — for the 1D codes —
   that the executed span order is a linearization of the
   :class:`repro.taskgraph.TaskGraph` dependence edges;

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from ..machine.simulator import SimTrace, Simulator
+from ..machine.simulator import Simulator
 from .tracecheck import check_messages, ProtocolViolationError
 
 
@@ -40,7 +40,7 @@ def trace_checked_simulations(check_leaks: bool = True, sanitize: bool = True):
 
     def checked_run(self):
         if self.trace is None:
-            self.trace = SimTrace()
+            self.trace = []
         if sanitize:
             self.sanitize = True
         result = orig_run(self)

@@ -76,14 +76,11 @@ def _trace_key(trace):
     """Host-order-independent view of a trace: per-sender send sequences."""
     if trace is None:
         return None
-    return {
-        src: [
-            (r.dest, repr(r.tag), r.send_clock, r.arrival, r.nbytes,
-             r.recv_time, r.consumed)
-            for r in records
-        ]
-        for src, records in trace.by_src().items()
-    }
+    by_src = {}
+    for r in trace:
+        by_src.setdefault(r.src, []).append(
+            (r.dest, repr(r.tag), r.t_send, r.arrival, r.nbytes, r.t_recv))
+    return by_src
 
 
 def _compare(base, other, label: str) -> list:
@@ -103,8 +100,8 @@ def _compare(base, other, label: str) -> list:
     chk("messages", base.messages, other.messages)
     chk("bytes_sent", base.bytes_sent, other.bytes_sent)
     chk("returns", base.returns, other.returns)
-    chk("spans", [(s.rank, s.label, s.start, s.end) for s in base.spans],
-        [(s.rank, s.label, s.start, s.end) for s in other.spans])
+    chk("spans", [s.key() for s in base.spans],
+        [s.key() for s in other.spans])
     chk("trace", _trace_key(base.trace), _trace_key(other.trace))
     return mismatches
 

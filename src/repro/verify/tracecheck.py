@@ -1,7 +1,8 @@
 """Dynamic trace checking of simulated SPMD runs.
 
-Consumes the message trace a ``Simulator(trace=True)`` run records (see
-:class:`repro.machine.SimTrace`) and verifies the protocol discipline the
+Consumes the message trace a ``Simulator(trace=True)`` run records (a
+send-ordered list of :class:`repro.obs.TraceMessage`, one per transmission
+attempt) and verifies the protocol discipline the
 simulator documents but cannot enforce cheaply during execution:
 
 * **UNIQUE** — a ``(dest, tag)`` pair identifies at most one logical
@@ -80,14 +81,14 @@ class TraceCheckReport:
 
 def _logical_id(record):
     """Logical transfer id: retransmissions and fault-injected duplicates of
-    one ``send`` share it.  Legacy records (``logical=None``) fall back to
-    their seq, i.e. every record is its own logical transfer."""
-    logical = getattr(record, "logical", None)
-    return record.seq if logical is None else logical
+    one ``send`` share it.  Records without one (``logical=None``) fall
+    back to their seq, i.e. every record is its own logical transfer."""
+    return record.seq if record.logical is None else record.logical
 
 
 def check_messages(trace, spec=None, crashed=()) -> list:
-    """UNIQUE / LEAK / CAUSAL checks over a :class:`SimTrace`.
+    """UNIQUE / LEAK / CAUSAL / MUTATE checks over a ``SimResult.trace``
+    list of :class:`repro.obs.TraceMessage` records.
 
     Fault-injection aware: records of the *same* logical transfer (the
     retry protocol's retransmits, or a fault-injected duplicate) do not
@@ -98,7 +99,7 @@ def check_messages(trace, spec=None, crashed=()) -> list:
     violations = []
     crashed = set(crashed)
     seen = {}  # (dest, tag) -> first record
-    for r in trace.records:
+    for r in trace:
         key = (r.dest, _hashable(r.tag))
         if key in seen:
             first = seen[key]
@@ -107,14 +108,14 @@ def check_messages(trace, spec=None, crashed=()) -> list:
             violations.append(Violation(
                 "UNIQUE",
                 f"tag collision on (dest={r.dest}, tag={r.tag!r}): sent by "
-                f"rank {first.src} at t={first.send_clock:.3g} and again by "
-                f"rank {r.src} at t={r.send_clock:.3g}",
+                f"rank {first.src} at t={first.t_send:.3g} and again by "
+                f"rank {r.src} at t={r.t_send:.3g}",
             ))
         else:
             seen[key] = r
-    for r in trace.undelivered():
-        if getattr(r, "dropped", False) or getattr(r, "duplicate", False):
-            continue  # never deposited / extra copy the receiver ignores
+    for r in trace:
+        if r.t_recv is not None or r.dropped or r.duplicate:
+            continue  # consumed / never deposited / extra copy ignored
         if r.dest in crashed:
             continue  # the receiver died; nobody is left to consume it
         violations.append(Violation(
@@ -123,27 +124,27 @@ def check_messages(trace, spec=None, crashed=()) -> list:
             f"(arrival t={r.arrival:.3g}, {r.nbytes} bytes) was never "
             "received",
         ))
-    for r in trace.records:
+    for r in trace:
         eps = 1e-12 * max(1.0, abs(r.arrival))
         if r.src != r.dest and spec is not None:
-            floor = r.send_clock + spec.latency_s + r.nbytes / spec.bandwidth_bps
+            floor = r.t_send + spec.latency_s + r.nbytes / spec.bandwidth_bps
             if r.arrival < floor - eps:
                 violations.append(Violation(
                     "CAUSAL",
                     f"message (dest={r.dest}, tag={r.tag!r}) arrived at "
                     f"t={r.arrival:.6g} before the model floor {floor:.6g}",
                 ))
-        if r.consumed and r.recv_time is not None and r.recv_time < r.arrival - eps:
+        if r.t_recv is not None and r.t_recv < r.arrival - eps:
             violations.append(Violation(
                 "CAUSAL",
-                f"rank {r.dest} consumed tag {r.tag!r} at t={r.recv_time:.6g} "
+                f"rank {r.dest} consumed tag {r.tag!r} at t={r.t_recv:.6g} "
                 f"before its arrival t={r.arrival:.6g}",
             ))
-        if getattr(r, "mutated", False):
+        if r.mutated:
             violations.append(Violation(
                 "MUTATE",
                 f"rank {r.src} mutated the payload of tag {r.tag!r} "
-                f"(posted to rank {r.dest} at t={r.send_clock:.3g}) after "
+                f"(posted to rank {r.dest} at t={r.t_send:.3g}) after "
                 "sending it: write-after-send under zero-copy put semantics",
             ))
     return violations
@@ -175,27 +176,28 @@ def parse_span_label(label: str):
 def check_spans_against_dag(spans, tg, schedule=None, parse=parse_span_label) -> list:
     """Verify executed spans cover and linearize the task graph.
 
-    ``spans`` are :class:`repro.machine.TaskSpan` records (per-rank
-    execution order is their recorded order).  A span whose label ``parse``
-    cannot interpret is ignored, so auxiliary spans coexist with the check.
+    ``spans`` are the :class:`repro.obs.Span` task records of
+    ``SimResult.spans`` (per-rank execution order is their recorded order).
+    A span whose name ``parse`` cannot interpret is ignored, so auxiliary
+    spans coexist with the check.
     """
     violations = []
     where = {}  # task -> (rank, per-rank index, start, end)
     per_rank_idx = {}
     for s in spans:
-        task = parse(s.label)
+        task = parse(s.name)
         if task is None:
             continue
-        idx = per_rank_idx.get(s.rank, 0)
-        per_rank_idx[s.rank] = idx + 1
+        idx = per_rank_idx.get(s.track, 0)
+        per_rank_idx[s.track] = idx + 1
         if task in where:
             violations.append(Violation(
                 "DAG",
                 f"task {task!r} executed twice: on rank {where[task][0]} "
-                f"and rank {s.rank}",
+                f"and rank {s.track}",
             ))
             continue
-        where[task] = (s.rank, idx, s.start, s.end)
+        where[task] = (s.track, idx, s.start, s.end)
 
     known = set(tg.tasks)
     for task in tg.tasks:
@@ -256,7 +258,7 @@ def check_run(result, spec=None, tg=None, schedule=None) -> TraceCheckReport:
             "TRACE", "run has no message trace; pass trace=True to Simulator"
         ))
         return report
-    report.stats["messages"] = len(result.trace.records)
+    report.stats["messages"] = len(result.trace)
     report.violations.extend(check_messages(
         result.trace, spec=spec, crashed=getattr(result, "crashed", ())
     ))
@@ -264,7 +266,7 @@ def check_run(result, spec=None, tg=None, schedule=None) -> TraceCheckReport:
         vs, checked = check_spans_against_dag(result.spans, tg, schedule=schedule)
         report.violations.extend(vs)
         report.stats["spans"] = sum(
-            1 for s in result.spans if parse_span_label(s.label) is not None
+            1 for s in result.spans if parse_span_label(s.name) is not None
         )
         report.stats["dag_edges"] = checked
     return report

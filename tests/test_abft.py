@@ -178,7 +178,7 @@ class TestParallelAbft:
         agree: one injected corruption, one detection, no retransmit."""
         base = run_1d(p["om"].A, p["part"], p["bstruct"], 4, GENERIC,
                       method="ca", sim_opts={"trace": True})
-        msg = next(m for m in base.sim.trace.records
+        msg = next(m for m in base.sim.trace
                    if isinstance(m.tag, tuple) and m.tag[0] == "col")
         plan = FaultPlan(events=[
             FaultEvent(CORRUPT, msg.src, msg.dest, msg.tag)])

@@ -51,6 +51,56 @@ class TestSequential:
         assert np.allclose(s.solve(b), np.linalg.solve(D, b), rtol=1e-7, atol=1e-9)
 
 
+class TestBoundaryInputs:
+    """Degenerate systems raise a ValueError naming the problem instead of
+    failing deep in the factorization (or silently returning NaNs)."""
+
+    @pytest.fixture(scope="class")
+    def A(self):
+        return get_matrix("sherman5", "small")
+
+    @staticmethod
+    def _poisoned(A, value):
+        data = A.data.copy()
+        data[5] = value
+        return A.with_values(data)
+
+    def test_empty_matrix(self):
+        with pytest.raises(ValueError, match="empty"):
+            SStarSolver().factor(np.zeros((0, 0)))
+
+    def test_non_square_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            SStarSolver().factor(np.ones((3, 4)))
+
+    @pytest.mark.parametrize("method,value", [
+        ("sequential", np.nan), ("sequential", np.inf), ("2d", np.nan),
+    ])
+    def test_non_finite_matrix(self, A, method, value):
+        solver = SStarSolver(method=method, nprocs=4)
+        with pytest.raises(ValueError, match="1 non-finite"):
+            solver.factor(self._poisoned(A, value))
+        with pytest.raises(ValueError, match="non-finite"):
+            solver.refactor(self._poisoned(A, value))
+
+    def test_non_finite_rhs(self, A):
+        b = np.ones(A.nrows)
+        b[3] = np.nan
+        with pytest.raises(ValueError, match="rhs has 1 non-finite"):
+            SStarSolver().factor(A).solve(b)
+
+    def test_service_submit_rejects_non_finite(self, A):
+        from repro.service import SolveService
+
+        svc = SolveService(workers=1)
+        b = np.ones(A.nrows)
+        with pytest.raises(ValueError, match="A has 1 non-finite"):
+            svc.submit(self._poisoned(A, np.nan), b)
+        b[0] = np.inf
+        with pytest.raises(ValueError, match="rhs has 1 non-finite"):
+            svc.submit(A, b)
+
+
 class TestParallelMethods:
     @pytest.mark.parametrize("method", ["1d-rapid", "1d-ca", "2d", "2d-sync"])
     def test_all_methods_agree(self, method):

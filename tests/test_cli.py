@@ -133,17 +133,6 @@ class TestServeDemo:
         assert "completed" in capsys.readouterr().out
 
 
-class TestBenchService:
-    def test_reports_amortization(self, capsys):
-        assert main(
-            ["bench-service", "--name", "jpwh991", "--repeats", "1",
-             "--nrhs", "4"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "analyze amortization" in out
-        assert "multi-RHS" in out
-
-
 class TestLint:
     def test_protocol_rules_all_modules(self, capsys):
         assert main(["lint", "--select", "Y01,T01,T02,T03"]) == 0

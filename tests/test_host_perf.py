@@ -23,6 +23,7 @@ checker forces ``sanitize=True``, which deliberately disables zero-copy.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -296,12 +297,16 @@ class TestSanitizer:
         assert got[0].tobytes() == np.ones(4).tobytes()
 
     def test_unchecked_zero_copy_exposes_the_hazard(self):
-        # zero_copy="unchecked" bypasses the certificate — the seeded
-        # mutation is visible to the receiver, which is exactly why
-        # certification gates the default
+        # a hand-built certificate that vouches for this (unlinted) module
+        # turns zero-copy on — the seeded mutation is visible to the
+        # receiver, which is exactly why certification gates the default
+        with open(__file__, "rb") as f:
+            digest = hashlib.sha256(f.read()).hexdigest()
+        cert = ZeroCopyCertificate(
+            {__name__: {"clean": True, "sha256": digest}})
         got = []
         Simulator(2, T3E, _wapsend_program, args=(got, True),
-                  zero_copy="unchecked").run()
+                  zero_copy=cert).run()
         assert got[0][0] == -7.0
 
 

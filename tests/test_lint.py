@@ -471,7 +471,7 @@ class TestSanitizer:
                         sanitize=True)
         with pytest.raises(PayloadMutationError):
             sim.run()
-        mutated = [r for r in sim.trace.records if r.mutated]
+        mutated = [r for r in sim.trace if r.mutated]
         assert len(mutated) == 1
         violations = check_messages(sim.trace, spec=GENERIC)
         assert any(v.rule == "MUTATE" for v in violations)

@@ -202,4 +202,4 @@ class TestStats:
 
         res = run(2, prog)
         assert len(res.spans) == 2
-        assert all(s.label == "work" for s in res.spans)
+        assert all(s.name == "work" for s in res.spans)

@@ -162,9 +162,10 @@ class TestSharedMemoryThreads:
 
 class TestTimeline:
     def test_render_from_simulation(self):
-        from repro.analysis import render_timeline, overlap_profile
+        from repro.analysis import overlap_profile
         from repro.machine import T3E
         from repro.parallel import run_2d
+        from repro.scheduling import gantt_from_trace
         from repro.supernodes import build_partition, build_block_structure
         from repro.symbolic import static_symbolic_factorization
 
@@ -174,12 +175,14 @@ class TestTimeline:
         part = build_partition(sym, max_size=5, amalgamation=3)
         bstruct = build_block_structure(sym, part)
         res = run_2d(om.A, part, bstruct, 4, T3E)
-        text = render_timeline(res.sim.spans, 4)
-        assert "P0" in text and "total" in text
+        text = gantt_from_trace(res.sim.spans).render()
+        assert "P0" in text and "makespan" in text
         prof = overlap_profile(res.sim.spans, 4)
         assert max(prof) >= 1
 
     def test_empty_spans(self):
-        from repro.analysis import render_timeline
+        from repro.analysis import overlap_profile
+        from repro.scheduling import gantt_from_trace
 
-        assert "no spans" in render_timeline([], 2)
+        assert gantt_from_trace([]).render() == "makespan = 0"
+        assert overlap_profile([], 2) == []

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.machine import DeadlockError, GENERIC, SimTrace, Simulator
-from repro.machine.simulator import MessageRecord
+from repro.machine import DeadlockError, GENERIC, Simulator
+from repro.obs import TASK, Span, TraceMessage
 from repro.taskgraph import FACTOR, UPDATE
 import repro.parallel
 from repro.lint import RULES, lint_paths, lint_source
@@ -185,10 +185,10 @@ class TestTraceCheck:
 
     def test_causality_violation_detected(self):
         # fabricate a record arriving before the latency/bandwidth floor
-        trace = SimTrace(records=[MessageRecord(
-            seq=1, src=0, dest=1, tag=("t", 0), send_clock=1.0,
-            arrival=1.0, nbytes=8_000_000, recv_time=1.0, consumed=True,
-        )])
+        trace = [TraceMessage(
+            src=0, dest=1, tag=("t", 0), t_send=1.0, t_recv=1.0,
+            nbytes=8_000_000, arrival=1.0, seq=1,
+        )]
         vs = check_messages(trace, spec=GENERIC)
         assert any(v.rule == "CAUSAL" for v in vs)
 
@@ -222,43 +222,36 @@ class TestDagConformance:
         assert parse_span_label("swap") is None
 
     def test_conforming_spans_pass(self):
-        from repro.machine import TaskSpan
-
         spans = [
-            TaskSpan(0, "F0", 0.0, 1.0),
-            TaskSpan(1, "U0,1", 0.5, 2.0),
-            TaskSpan(1, "F1", 2.0, 3.0),
+            Span(0, "F0", TASK, 0.0, 1.0),
+            Span(1, "U0,1", TASK, 0.5, 2.0),
+            Span(1, "F1", TASK, 2.0, 3.0),
         ]
         vs, checked = check_spans_against_dag(spans, self._graph())
         assert vs == [] and checked == 2
 
     def test_order_violation_detected(self):
-        from repro.machine import TaskSpan
-
         spans = [  # F1 completes before its dependence U0,1: rule 2 broken
-            TaskSpan(0, "F0", 0.0, 1.0),
-            TaskSpan(1, "F1", 0.0, 0.5),
-            TaskSpan(1, "U0,1", 0.5, 2.0),
+            Span(0, "F0", TASK, 0.0, 1.0),
+            Span(1, "F1", TASK, 0.0, 0.5),
+            Span(1, "U0,1", TASK, 0.5, 2.0),
         ]
         vs, _ = check_spans_against_dag(spans, self._graph())
         assert len(vs) == 1 and vs[0].rule == "DAG"
         assert "('F', 1)" in vs[0].message
 
     def test_missing_task_detected(self):
-        from repro.machine import TaskSpan
-
-        spans = [TaskSpan(0, "F0", 0.0, 1.0), TaskSpan(1, "U0,1", 1.0, 2.0)]
+        spans = [Span(0, "F0", TASK, 0.0, 1.0),
+                 Span(1, "U0,1", TASK, 1.0, 2.0)]
         vs, _ = check_spans_against_dag(spans, self._graph())
         assert any("no executed span" in v.message for v in vs)
 
     def test_duplicate_task_detected(self):
-        from repro.machine import TaskSpan
-
         spans = [
-            TaskSpan(0, "F0", 0.0, 1.0),
-            TaskSpan(1, "F0", 0.0, 1.0),
-            TaskSpan(1, "U0,1", 1.0, 2.0),
-            TaskSpan(1, "F1", 2.0, 3.0),
+            Span(0, "F0", TASK, 0.0, 1.0),
+            Span(1, "F0", TASK, 0.0, 1.0),
+            Span(1, "U0,1", TASK, 1.0, 2.0),
+            Span(1, "F1", TASK, 2.0, 3.0),
         ]
         vs, _ = check_spans_against_dag(spans, self._graph())
         assert any("twice" in v.message for v in vs)
@@ -270,57 +263,57 @@ class TestRetransmitAwareness:
 
     def _rec(self, seq, logical, consumed=True, **kw):
         fields = dict(
-            seq=seq, src=0, dest=1, tag=("t", 0), send_clock=0.0,
-            arrival=1.0, nbytes=8, consumed=consumed, logical=logical,
+            seq=seq, src=0, dest=1, tag=("t", 0), t_send=0.0, t_recv=None,
+            arrival=1.0, nbytes=8, logical=logical,
         )
         fields.update(kw)
-        if consumed and "recv_time" not in kw:
-            fields["recv_time"] = fields["arrival"]
-        return MessageRecord(**fields)
+        if consumed and "t_recv" not in kw:
+            fields["t_recv"] = fields["arrival"]
+        return TraceMessage(**fields)
 
     def test_retransmit_copies_are_not_a_collision(self):
         # two wire copies of one logical send: the first was dropped, the
         # retry got through — same (dest, tag) twice but NOT tag reuse
-        trace = SimTrace(records=[
+        trace = [
             self._rec(1, logical=1, consumed=False, dropped=True),
             self._rec(2, logical=1, attempt=1),
-        ])
+        ]
         assert check_messages(trace, spec=GENERIC) == []
 
     def test_genuine_tag_reuse_still_flagged(self):
         # distinct logical messages on the same (dest, tag): a real
         # collision that retransmission-awareness must not excuse
-        trace = SimTrace(records=[
+        trace = [
             self._rec(1, logical=1),
-            self._rec(2, logical=2, send_clock=0.5, arrival=1.5),
-        ])
+            self._rec(2, logical=2, t_send=0.5, arrival=1.5),
+        ]
         vs = check_messages(trace, spec=GENERIC)
         assert [v.rule for v in vs] == ["UNIQUE"]
 
     def test_legacy_traces_fall_back_to_seq(self):
         # records without a logical id (pre-fault-injection traces) keep
         # the old per-record semantics
-        trace = SimTrace(records=[
+        trace = [
             self._rec(1, logical=None),
-            self._rec(2, logical=None, send_clock=0.5, arrival=1.5),
-        ])
+            self._rec(2, logical=None, t_send=0.5, arrival=1.5),
+        ]
         vs = check_messages(trace, spec=GENERIC)
         assert [v.rule for v in vs] == ["UNIQUE"]
 
     def test_dropped_and_duplicate_copies_are_not_leaks(self):
-        trace = SimTrace(records=[
+        trace = [
             self._rec(1, logical=1, consumed=False, dropped=True),
             self._rec(2, logical=1, attempt=1),
-            self._rec(3, logical=2, tag=("u", 0), send_clock=2.0,
-                      arrival=3.0, recv_time=3.0),
+            self._rec(3, logical=2, tag=("u", 0), t_send=2.0,
+                      arrival=3.0, t_recv=3.0),
             self._rec(4, logical=2, tag=("u", 0), consumed=False,
-                      duplicate=True, send_clock=2.0, arrival=3.1),
-        ])
+                      duplicate=True, t_send=2.0, arrival=3.1),
+        ]
         assert check_messages(trace, spec=GENERIC) == []
 
     def test_undelivered_to_crashed_rank_excused(self):
         rec = self._rec(1, logical=1, consumed=False)
-        trace = SimTrace(records=[rec])
+        trace = [rec]
         assert [v.rule for v in check_messages(trace, spec=GENERIC)] == ["LEAK"]
         assert check_messages(trace, spec=GENERIC, crashed=(1,)) == []
 
@@ -357,7 +350,7 @@ class TestRetransmitAwareness:
                       faults=FaultPlan().with_crash(1, 0.0)).run()
         # the in-flight message to the dead rank is excused by `crashed`
         rec = self._rec(1, logical=1, consumed=False)
-        assert check_messages(SimTrace(records=[rec]), spec=GENERIC,
+        assert check_messages([rec], spec=GENERIC,
                               crashed=(1,)) == []
 
 
