@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..machine import T3D, T3E, GENERIC, MachineSpec, FaultPlan
+from ..machine import MACHINES, MachineSpec, FaultPlan
 from ..obs import PHASE, as_tracer
 from ..numfact import (
     LUFactorization,
@@ -33,8 +33,6 @@ from ..numfact import (
     sstar_factor,
 )
 from ..sparse import CSRMatrix, dense_to_csr
-
-_MACHINES = {"T3D": T3D, "T3E": T3E, "GENERIC": GENERIC}
 
 
 def check_system(A=None, b=None, n: int = None):
@@ -97,13 +95,15 @@ class SStarSolver:
     amalgamation:
         Amalgamation factor ``r`` (0 disables; the paper finds 4-6 best).
     nprocs, machine, method:
-        Optional parallel execution on the simulated machine: ``method`` in
-        ``{"sequential", "1d-rapid", "1d-ca", "2d", "2d-sync"}``;
-        ``machine`` in ``{"T3D", "T3E", "GENERIC"}`` or a
-        :class:`repro.machine.MachineSpec`.
+        Optional parallel execution on the simulated machine: ``method`` is
+        ``"sequential"`` or a key of :data:`repro.parallel.METHODS`
+        (``"1d-rapid"``, ``"1d-ca"``, ``"2d"``, ``"2d-sync"``); an unknown
+        name raises ``ValueError`` here.  ``machine`` is a key of
+        :data:`repro.machine.MACHINES` or a :class:`MachineSpec`.
     grid:
-        Optional :class:`repro.parallel.Grid2D` fixing the 2D process-grid
-        shape (default: ``Grid2D.preferred``, the paper's ``p_c/p_r ~ 2``).
+        Optional 2D process-grid shape, a :class:`repro.parallel.Grid2D` or
+        a ``(pr, pc)`` pair (default: ``Grid2D.preferred``, the paper's
+        ``p_c/p_r ~ 2``).
     pivot_threshold:
         Threshold-pivoting parameter ``u`` in (0, 1]; 1.0 (default) is pure
         partial pivoting, smaller values keep the diagonal when
@@ -204,10 +204,12 @@ class SStarSolver:
         tune_seed: int = 0,
         tune_opts: dict = None,
     ):
+        from ..parallel import check_method
+
         self.block_size = block_size
         self.amalgamation = amalgamation
         self.nprocs = nprocs
-        self.method = method
+        self.method = check_method(method)
         self.grid = grid
         self.pivot_threshold = pivot_threshold
         self.backend = backend
@@ -222,7 +224,7 @@ class SStarSolver:
         self.reliable = reliable
         self.ckpt_interval = ckpt_interval
         self.spec = (
-            machine if isinstance(machine, MachineSpec) else _MACHINES[machine.upper()]
+            machine if isinstance(machine, MachineSpec) else MACHINES[machine.upper()]
         )
         self.analysis_cache = analysis_cache
         self.growth_limit = growth_limit
@@ -338,7 +340,7 @@ class SStarSolver:
         self.block_size = plan.block_size
         self.amalgamation = plan.amalgamation
         self.method = plan.method
-        self.grid = plan.grid()
+        self.grid = plan.grid
 
     def _factor_impl(self, A, reuse: bool) -> "SStarSolver":
         if isinstance(A, np.ndarray):
@@ -361,15 +363,6 @@ class SStarSolver:
         sequential = self.method == "sequential" or self.nprocs == 1
         if sequential and (self.faults is not None or self.reliable is not None):
             raise ValueError("fault injection requires a parallel method")
-        sim_opts = {}
-        if self.faults is not None:
-            sim_opts["faults"] = self.faults
-        if self.reliable is not None:
-            sim_opts["reliable"] = self.reliable
-        if self.tracer is not None:
-            sim_opts["tracer"] = self.tracer
-        has_crashes = self.faults is not None and bool(self.faults.crashes)
-        resilient = not sequential and (has_crashes or self.ckpt_interval is not None)
 
         parallel_seconds = None
         messages = bytes_sent = 0
@@ -392,69 +385,33 @@ class SStarSolver:
             else:
                 raise ValueError(f"unknown backend {self.backend!r}")
             counter = lu.counter
-        elif self.method in ("1d-rapid", "1d-ca", "2d", "2d-sync"):
-            oned = self.method.startswith("1d")
-            if resilient:
-                from ..parallel import run_1d_resilient, run_2d_resilient
+        else:
+            from ..parallel import ResilientResult, run_method
 
-                kwargs = dict(
-                    ckpt_interval=self.ckpt_interval or 4,
-                    faults=self.faults,
-                    reliable=self.reliable,
-                    pivot_threshold=self.pivot_threshold,
-                    monitor=monitor,
-                    abft=self.abft,
-                )
-                if self.tracer is not None:
-                    kwargs["sim_opts"] = {"tracer": self.tracer}
-                if oned:
-                    res = run_1d_resilient(
-                        om.A, part, bstruct, self.nprocs, self.spec,
-                        method=self.method.split("-")[1], **kwargs,
-                    )
-                else:
-                    res = run_2d_resilient(
-                        om.A, part, bstruct, self.nprocs, self.spec,
-                        synchronous=self.method.endswith("sync"), **kwargs,
-                    )
+            res = run_method(
+                self.method, om.A, part, bstruct, self.nprocs, self.spec,
+                grid=self.grid,
+                faults=self.faults,
+                reliable=self.reliable,
+                ckpt_interval=self.ckpt_interval,
+                sim_opts=(
+                    {"tracer": self.tracer} if self.tracer is not None else None
+                ),
+                pivot_threshold=self.pivot_threshold,
+                monitor=monitor,
+                abft=self.abft,
+            )
+            if isinstance(res, ResilientResult):
                 self.resilient_result = res
                 restarts = sum(1 for r in res.rounds if not r.ok)
-                lu = LUFactorization(res.factor, sym, part, bstruct, res.total_counter())
-            elif oned:
-                from ..parallel import run_1d
-
-                res = run_1d(
-                    om.A, part, bstruct, self.nprocs, self.spec,
-                    method=self.method.split("-")[1],
-                    pivot_threshold=self.pivot_threshold,
-                    sim_opts=sim_opts,
-                    monitor=monitor,
-                    abft=self.abft,
-                )
-                self.sim_result = res.sim
-                lu = LUFactorization(res.factor, sym, part, bstruct, res.sim.total_counter())
-            else:
-                from ..parallel import run_2d
-
-                res = run_2d(
-                    om.A, part, bstruct, self.nprocs, self.spec,
-                    synchronous=self.method.endswith("sync"),
-                    grid=self.grid,
-                    pivot_threshold=self.pivot_threshold,
-                    sim_opts=sim_opts,
-                    monitor=monitor,
-                    abft=self.abft,
-                )
-                self.sim_result = res.sim
-                lu = LUFactorization(res.factor, sym, part, bstruct, res.sim.total_counter())
-            counter = lu.counter
-            parallel_seconds = res.parallel_seconds
-            if resilient:
+                counter = res.total_counter()
                 messages, bytes_sent = res.messages, res.bytes_sent
             else:
+                self.sim_result = res.sim
+                counter = res.sim.total_counter()
                 messages, bytes_sent = res.sim.messages, res.sim.bytes_sent
-        else:
-            raise ValueError(f"unknown method {self.method!r}")
+            lu = LUFactorization(res.factor, sym, part, bstruct, counter)
+            parallel_seconds = res.parallel_seconds
 
         if self.tracer is not None:
             # the numfact phase span: simulated makespan for parallel runs,

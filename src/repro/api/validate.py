@@ -137,11 +137,11 @@ def validate_matrix(A, nprocs: int = 4, check_parallel: bool = True) -> list:
     check("backward-stable solve", c_solve)
 
     if check_parallel and lu is not None:
-        from ..parallel import run_1d, run_2d
+        from ..parallel import run_method
 
         def c_parallel():
-            r1 = run_1d(om.A, part, bstruct, nprocs, T3E, method="rapid")
-            r2 = run_2d(om.A, part, bstruct, nprocs, T3E)
+            r1 = run_method("1d-rapid", om.A, part, bstruct, nprocs, T3E)
+            r2 = run_method("2d", om.A, part, bstruct, nprocs, T3E)
             for key, blk in lu.matrix.blocks.items():
                 if not np.array_equal(blk, r1.factor.blocks[key]):
                     raise AssertionError(f"1D block {key} differs")

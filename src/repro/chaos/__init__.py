@@ -3,7 +3,10 @@
 Sweeps seeded fault-plan families over the 1D/2D solvers, their
 checkpoint/restart variants and the solve service; checks every run
 against exact invariant oracles; and shrinks any failing run to a
-minimal, replayable fault schedule (a JSON repro artifact).
+minimal, replayable fault schedule (a JSON repro artifact).  A
+:class:`Scenario` names its solver by the solver's ``method`` string and
+runs it in one of the :data:`MODES` (``sim``, ``resilient``,
+``service``).
 
 Quickstart::
 
@@ -21,6 +24,7 @@ from .campaign import (
     CampaignReport,
     ChaosContext,
     DEFAULT_SCENARIOS,
+    MODES,
     RunOutcome,
     Scenario,
     build_context,
@@ -37,6 +41,7 @@ __all__ = [
     "ChaosContext",
     "DEFAULT_SCENARIOS",
     "FAMILIES",
+    "MODES",
     "OracleReport",
     "REQUIREMENTS",
     "RunOutcome",

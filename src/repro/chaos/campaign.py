@@ -18,7 +18,7 @@ so ``repro trace`` renders a campaign like any other run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,10 +26,8 @@ from ..machine import GENERIC, ReliableDelivery
 from ..matrices import random_nonsymmetric
 from ..numfact import SilentCorruptionError, sstar_factor
 from ..obs import PHASE, MetricsRegistry, Tracer
-from ..ordering import prepare_matrix
-from ..parallel import run_1d, run_1d_resilient, run_2d, run_2d_resilient
-from ..supernodes import build_block_structure, build_partition
-from ..symbolic import static_symbolic_factorization
+from ..parallel import check_method, run_method
+from ..service.cache import analyze
 from ..taskgraph import build_task_graph
 from . import plans
 from .oracles import evaluate
@@ -40,25 +38,35 @@ from .oracles import evaluate
 # ---------------------------------------------------------------------------
 
 
+#: how a scenario runs its method (see :class:`Scenario`)
+MODES = ("sim", "resilient", "service")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One solver configuration the campaign exercises.
 
-    ``mode`` is ``"1d"`` / ``"2d"`` (one Simulator run), ``"resilient-1d"``
-    / ``"resilient-2d"`` (checkpoint/restart rounds) or ``"service"`` (a
-    :class:`repro.service.SolveService` job).  ``method`` selects the
-    variant: 1D ``rapid``/``ca``, 2D ``async``/``sync``, service solver
-    method strings (``"1d-ca"``/``"2d"``).
+    ``method`` is the solver's parallel method string (a key of
+    :data:`repro.parallel.METHODS`).  ``mode`` says how it runs: ``"sim"``
+    (one Simulator run), ``"resilient"`` (checkpoint/restart rounds every
+    ``ckpt_interval`` stages) or ``"service"`` (a
+    :class:`repro.service.SolveService` job).
     """
 
     name: str
     mode: str
-    method: str = "ca"
+    method: str = "1d-ca"
     nprocs: int = 4
     reliable: bool = True
     checksum: bool = True
     abft: bool = False
     ckpt_interval: int = 4
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(
+                f"unknown scenario mode {self.mode!r}; expected one of {MODES}")
+        check_method(self.method)
 
     @property
     def capabilities(self) -> frozenset:
@@ -69,7 +77,7 @@ class Scenario:
                 toks.add(plans.CHECKSUM)
         if self.abft:
             toks.add(plans.ABFT)
-        if self.mode.startswith("resilient"):
+        if self.mode == "resilient":
             toks.add(plans.RESILIENT)
         if self.mode == "service":
             # job-level retry replays the whole solve from scratch — the
@@ -78,12 +86,7 @@ class Scenario:
         return frozenset(toks)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name, "mode": self.mode, "method": self.method,
-            "nprocs": self.nprocs, "reliable": self.reliable,
-            "checksum": self.checksum, "abft": self.abft,
-            "ckpt_interval": self.ckpt_interval,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
@@ -91,14 +94,14 @@ class Scenario:
 
 
 DEFAULT_SCENARIOS = (
-    Scenario("1d-rapid", "1d", method="rapid", nprocs=3),
-    Scenario("1d-ca", "1d", method="ca", nprocs=4),
-    Scenario("1d-ca-abft", "1d", method="ca", nprocs=4, abft=True),
-    Scenario("2d", "2d", method="async", nprocs=4),
-    Scenario("2d-sync", "2d", method="sync", nprocs=4),
-    Scenario("1d-resilient-abft", "resilient-1d", method="ca", nprocs=4,
+    Scenario("1d-rapid", "sim", method="1d-rapid", nprocs=3),
+    Scenario("1d-ca", "sim", method="1d-ca", nprocs=4),
+    Scenario("1d-ca-abft", "sim", method="1d-ca", nprocs=4, abft=True),
+    Scenario("2d", "sim", method="2d", nprocs=4),
+    Scenario("2d-sync", "sim", method="2d-sync", nprocs=4),
+    Scenario("1d-resilient-abft", "resilient", method="1d-ca", nprocs=4,
              checksum=False, abft=True),
-    Scenario("2d-resilient", "resilient-2d", method="async", nprocs=4),
+    Scenario("2d-resilient", "resilient", method="2d", nprocs=4),
     Scenario("service", "service", method="1d-ca", nprocs=4),
 )
 
@@ -141,15 +144,13 @@ def build_context(n: int = 60, density: float = 0.08, mseed: int = 11,
                   block: int = 5, amalg: int = 3, spec=GENERIC) -> ChaosContext:
     """Build the shared pipeline for a campaign on one random matrix."""
     A = random_nonsymmetric(n, density=density, seed=mseed)
-    om = prepare_matrix(A)
-    sym = static_symbolic_factorization(om.A)
-    part = build_partition(sym, max_size=block, amalgamation=amalg)
-    bstruct = build_block_structure(sym, part)
+    art, om = analyze(A, block_size=block, amalgamation=amalg)
+    sym, part, bstruct = art.sym, art.part, art.bstruct
     tg = build_task_graph(bstruct)
     seq = sstar_factor(om.A, sym=sym, part=part)
     b = np.arange(float(n))
     x_ref = seq.solve(b)
-    base = run_1d(om.A, part, bstruct, 4, spec, method="ca", tg=tg)
+    base = run_method("1d-ca", om.A, part, bstruct, 4, spec, tg=tg)
     return ChaosContext(
         A=A, om=om, sym=sym, part=part, bstruct=bstruct, tg=tg, spec=spec,
         seq=seq, b=b, x_ref=x_ref, tscale=base.sim.total_time,
@@ -242,36 +243,30 @@ def execute_case(ctx: ChaosContext, scenario: Scenario, plan) -> RunOutcome:
     tracer = Tracer()
     out.tracer = tracer
     rel = ReliableDelivery(checksum=scenario.checksum) if scenario.reliable else None
-    direct = scenario.mode in ("1d", "2d")
+    direct = scenario.mode == "sim"
     use_plan = RecordingPlan(plan) if direct else plan
     try:
         if direct:
+            # one simulator run whatever the plan holds: its faults go
+            # straight to the Simulator, never to checkpoint/restart
             sim_opts = {"tracer": tracer, "trace": True, "faults": use_plan}
             if rel is not None:
                 sim_opts["reliable"] = rel
-            if scenario.mode == "1d":
-                res = run_1d(ctx.om.A, ctx.part, ctx.bstruct, scenario.nprocs,
-                             ctx.spec, method=scenario.method, tg=ctx.tg,
+            res = run_method(scenario.method, ctx.om.A, ctx.part, ctx.bstruct,
+                             scenario.nprocs, ctx.spec, tg=ctx.tg,
                              sim_opts=sim_opts, abft=scenario.abft)
-                out.schedule = res.schedule
-            else:
-                res = run_2d(ctx.om.A, ctx.part, ctx.bstruct, scenario.nprocs,
-                             ctx.spec, synchronous=(scenario.method == "sync"),
-                             sim_opts=sim_opts, abft=scenario.abft)
+            out.schedule = getattr(res, "schedule", None)
             out.sim = res.sim
             out.factor = res.factor
             out.seconds = res.sim.total_time
             out.crashes = tuple(res.sim.fault_stats.crashes)
-        elif scenario.mode in ("resilient-1d", "resilient-2d"):
-            runner = (run_1d_resilient if scenario.mode == "resilient-1d"
-                      else run_2d_resilient)
-            kwargs = {"method": scenario.method} if scenario.mode == "resilient-1d" \
-                else {"synchronous": scenario.method == "sync"}
-            res = runner(
-                ctx.om.A, ctx.part, ctx.bstruct, scenario.nprocs, ctx.spec,
+        elif scenario.mode == "resilient":
+            res = run_method(
+                scenario.method, ctx.om.A, ctx.part, ctx.bstruct,
+                scenario.nprocs, ctx.spec,
                 ckpt_interval=scenario.ckpt_interval, faults=plan,
                 reliable=rel, sim_opts={"tracer": tracer, "trace": True},
-                abft=scenario.abft, **kwargs,
+                abft=scenario.abft,
             )
             out.resilient = res
             out.factor = res.factor
@@ -293,8 +288,6 @@ def execute_case(ctx: ChaosContext, scenario: Scenario, plan) -> RunOutcome:
                                solver_opts=opts)
             jid = svc.submit(ctx.A, ctx.b)
             out.x = svc.result(jid)
-        else:
-            raise ValueError(f"unknown scenario mode {scenario.mode!r}")
     except Exception as e:  # the oracles decide what failure means
         out.error = e
     if isinstance(use_plan, RecordingPlan):

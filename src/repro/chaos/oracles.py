@@ -180,7 +180,8 @@ def evaluate(ctx, scenario, outcome) -> list:
     reports.append(check_bit_identical(outcome.factor, ctx.seq))
     reports.append(check_solve_identical(ctx, outcome.factor))
     if outcome.sim is not None:  # direct single-simulator run
-        tg = ctx.tg if scenario.mode == "1d" else None
+        # 1D runs carry a schedule to check the task DAG against
+        tg = ctx.tg if outcome.schedule is not None else None
         reports.append(check_tracecheck(outcome.sim, ctx.spec, tg=tg,
                                         schedule=outcome.schedule))
         reports.append(check_span_tiling(outcome.tracer, outcome.sim))

@@ -16,7 +16,7 @@ coins per message).  Shrinking proceeds in four steps:
    scenario, minimal plan, expected failure key) that
    :func:`replay_artifact` re-runs and checks bit-for-bit.
 
-The shrinker operates on single-Simulator scenarios (modes ``1d``/``2d``)
+The shrinker operates on single-Simulator scenarios (mode ``sim``)
 — exactly the ones whose failures are schedules of message events.  The
 checkpoint/restart and service scenarios recover by design; their
 failures are campaign-level bugs, reported unshrunk.
@@ -103,7 +103,7 @@ def shrink_failure(ctx: ChaosContext, scenario: Scenario, plan: FaultPlan,
     probabilistic original (which would mean the decisions are not
     replay-safe — itself a bug worth surfacing loudly).
     """
-    if scenario.mode not in ("1d", "2d"):
+    if scenario.mode != "sim":
         raise ValueError(
             f"shrinking operates on single-simulator scenarios, "
             f"not {scenario.mode!r}")

@@ -20,7 +20,7 @@ Commands
 ``chaos``      seeded fault-injection campaign over the 1D/2D/resilient
                solvers and the service, with oracle checks and optional
                failing-schedule shrinking to a JSON repro artifact
-``tune``       model-guided autotuning: prune the block-size/grid/layout
+``tune``       model-guided autotuning: prune the block-size/method/grid
                space with the Eq. (4) model, rank survivors with budgeted
                successive-halving simulator probes
 ``suite``      list the built-in suite matrices
@@ -176,16 +176,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-#: ``repro trace``/``repro profile`` mode shorthands
-_TRACE_MODES = {"1d": "1d-rapid", "2d": "2d"}
-
-
 def _traced_run(args):
     """Factor (and solve once) with a fresh tracer; returns the solver."""
     from . import SStarSolver
     from .obs import Tracer
 
-    method = _TRACE_MODES.get(args.mode, args.mode)
+    # ``--mode`` takes the solver's method names plus "1d" for 1d-rapid
+    method = "1d-rapid" if args.mode == "1d" else args.mode
     A = _load(args.matrix)
     solver = SStarSolver(
         nprocs=args.nprocs, method=method, machine=args.machine,
@@ -270,10 +267,10 @@ def cmd_validate(args) -> int:
 def cmd_verify_comm(args) -> int:
     import json
 
-    from .machine import T3D, T3E, GENERIC
+    from .machine import MACHINES
     from .verify import check_run, replay_check
 
-    spec = {"T3D": T3D, "T3E": T3E, "GENERIC": GENERIC}[args.machine]
+    spec = MACHINES[args.machine]
     failures = 0  # every trace, replay or fault violation is an error
     doc = {"dynamic": [], "replay": [], "faults": {}}
     out = (lambda *a, **k: None) if args.json else print
@@ -281,11 +278,9 @@ def cmd_verify_comm(args) -> int:
     # -- 1+2. dynamic trace check and determinism replay -------------------
     from .matrices import random_nonsymmetric
     from .numfact import LUFactorization
-    from .ordering import prepare_matrix
-    from .parallel import run_1d, run_2d, run_1d_trisolve, run_2d_trisolve
+    from .parallel import METHODS, run_1d_trisolve, run_2d_trisolve, run_method
+    from .service.cache import analyze
     from .sparse import read_matrix_market
-    from .supernodes import build_block_structure, build_partition
-    from .symbolic import static_symbolic_factorization
     from .taskgraph import build_task_graph
 
     if args.matrix:
@@ -296,45 +291,36 @@ def cmd_verify_comm(args) -> int:
                   "structure to exercise the protocols)", file=sys.stderr)
             return 2
         A = random_nonsymmetric(args.n, density=0.06, seed=args.seed)
-    om = prepare_matrix(A)
-    sym = static_symbolic_factorization(om.A)
-    part = build_partition(sym, max_size=args.block_size, amalgamation=4)
-    bstruct = build_block_structure(sym, part)
+    art, om = analyze(A, block_size=args.block_size, amalgamation=4)
+    sym, part, bstruct = art.sym, art.part, art.bstruct
     tg = build_task_graph(bstruct)
     P = args.nprocs
     b = np.arange(float(om.A.nrows))
 
-    lu_box = {}
+    first_run = {}  # method -> its first result (the trisolves reuse 1d-rapid)
 
-    def runner_1d(method):
+    def runner(method):
         def run(sim_opts):
-            res = run_1d(om.A, part, bstruct, P, spec, method=method, tg=tg,
-                         sim_opts=sim_opts)
-            lu_box.setdefault(method, (res.factor, res.schedule))
+            res = run_method(method, om.A, part, bstruct, P, spec, tg=tg,
+                             sim_opts=sim_opts)
+            first_run.setdefault(method, res)
             return res
         return run
 
-    def runner_2d(sync):
-        return lambda sim_opts: run_2d(om.A, part, bstruct, P, spec,
-                                       synchronous=sync, sim_opts=sim_opts)
-
     def runner_tri1d(sim_opts):
-        factor, schedule = lu_box["rapid"]
-        lu = LUFactorization(factor, sym, part, bstruct, None)
-        return run_1d_trisolve(lu, schedule.owner, b, P, spec, sim_opts=sim_opts)
+        rapid = first_run["1d-rapid"]
+        lu = LUFactorization(rapid.factor, sym, part, bstruct, None)
+        return run_1d_trisolve(lu, rapid.schedule.owner, b, P, spec,
+                               sim_opts=sim_opts)
 
     def runner_tri2d(sim_opts):
-        factor, _ = lu_box["rapid"]
-        lu = LUFactorization(factor, sym, part, bstruct, None)
+        lu = LUFactorization(first_run["1d-rapid"].factor, sym, part, bstruct,
+                             None)
         return run_2d_trisolve(lu, b, P, spec, sim_opts=sim_opts)
 
-    targets = [
-        ("1d-rapid", runner_1d("rapid"), True),
-        ("1d-ca", runner_1d("ca"), True),
-        ("2d", runner_2d(False), False),
-        ("2d-sync", runner_2d(True), False),
-        ("trisolve-1d", runner_tri1d, False),
-        ("trisolve-2d", runner_tri2d, False),
+    targets = [(m, runner(m)) for m in METHODS] + [
+        ("trisolve-1d", runner_tri1d),
+        ("trisolve-2d", runner_tri2d),
     ]
     if args.codes:
         wanted = set(args.codes.split(","))
@@ -347,18 +333,16 @@ def cmd_verify_comm(args) -> int:
         t[0] == "1d-rapid" for t in targets
     ):
         # the trisolve runners reuse the rapid factorization
-        runner_1d("rapid")({"trace": False})
+        runner("1d-rapid")({"trace": False})
 
     out(f"== dynamic trace check (P={P}, {args.machine}, "
         f"n={om.A.nrows}) ==")
-    runs = {}
-    for name, runner, with_dag in targets:
-        res = runner({"trace": True})
-        runs[name] = runner
+    for name, run in targets:
+        res = run({"trace": True})
         sim = res.sim if hasattr(res, "sim") else res
-        if with_dag:
-            report = check_run(sim, spec=spec, tg=tg,
-                               schedule=res.schedule)
+        schedule = getattr(res, "schedule", None)
+        if schedule is not None:  # a 1D run: check it against its DAG
+            report = check_run(sim, spec=spec, tg=tg, schedule=schedule)
         else:
             report = check_run(sim, spec=spec)
         out(f"{name:12s}: {report.summary()}")
@@ -376,8 +360,8 @@ def cmd_verify_comm(args) -> int:
 
     if not args.skip_replay:
         out(f"\n== determinism replay ({args.replays} host orders) ==")
-        for name, runner, _ in targets:
-            rep = replay_check(runner, P, n_orders=args.replays)
+        for name, run in targets:
+            rep = replay_check(run, P, n_orders=args.replays)
             out(f"{name:12s}: {rep.summary()}")
             for m in rep.mismatches:
                 out(f"  {m}")
@@ -391,16 +375,13 @@ def cmd_verify_comm(args) -> int:
     # -- 3. fault injection: recovered runs must still satisfy the protocol
     if args.fault_rate > 0 or args.crash_recovery:
         from .machine import FaultPlan
-        from .parallel import run_1d_resilient
 
         out(f"\n== fault-injection trace check "
             f"(drop rate {args.fault_rate}, seed {args.fault_seed}) ==")
 
         def faulty_runner(faults, sim_opts):
-            opts = dict(sim_opts)
-            opts.update({"faults": faults, "reliable": True})
-            return run_1d(om.A, part, bstruct, P, spec, method="ca", tg=tg,
-                          sim_opts=opts)
+            return run_method("1d-ca", om.A, part, bstruct, P, spec, tg=tg,
+                              faults=faults, reliable=True, sim_opts=sim_opts)
 
         if args.fault_rate > 0:
             plan = FaultPlan.drops(args.fault_rate, seed=args.fault_seed)
@@ -438,11 +419,12 @@ def cmd_verify_comm(args) -> int:
         if args.crash_recovery:
             # crash a rank mid-factorization, recover via checkpoint/restart
             # and require every committed round's trace to pass the checks
-            base = run_1d(om.A, part, bstruct, P, spec, method="ca", tg=tg)
+            base = runner("1d-ca")({})
             plan = FaultPlan.drops(args.fault_rate, seed=args.fault_seed)
             plan = plan.with_crash(P - 1, 0.4 * base.sim.total_time)
-            rres = run_1d_resilient(
-                om.A, part, bstruct, P, spec, method="ca", faults=plan,
+            # the crash routes the run through checkpoint/restart
+            rres = run_method(
+                "1d-ca", om.A, part, bstruct, P, spec, faults=plan,
                 reliable=True, sim_opts={"trace": True},
             )
             nbad = sum(1 for r in rres.rounds if not r.ok)
@@ -630,11 +612,10 @@ def cmd_serve_demo(args) -> int:
 def cmd_tune(args) -> int:
     import json as _json
 
-    from .machine import GENERIC, T3D, T3E
+    from .machine import MACHINES
     from .matrices import SUITE, get_matrix
     from .tune import Tuner, default_plan
 
-    specs = {"T3D": T3D, "T3E": T3E, "GENERIC": GENERIC}
     if args.matrix in SUITE:
         A = get_matrix(args.matrix, args.scale)
     else:
@@ -644,7 +625,7 @@ def cmd_tune(args) -> int:
         budget = None
     elif budget != "auto":
         budget = float(budget)
-    tuner = Tuner(spec=specs[args.machine], nprocs=args.nprocs,
+    tuner = Tuner(spec=MACHINES[args.machine], nprocs=args.nprocs,
                   budget=budget, seed=args.seed)
     res = tuner.tune(A)
 
@@ -725,12 +706,12 @@ def cmd_chaos(args) -> int:
         # campaign, demonstrate on an intentionally-unprotected corruption
         target = next(
             (o for o in campaign.outcomes
-             if not o.ok and o.scenario.mode in ("1d", "2d")), None)
+             if not o.ok and o.scenario.mode == "sim"), None)
         if target is not None:
             sr = shrink_failure(ctx, target.scenario, target.plan,
                                 outcome=target)
         else:
-            scn = Scenario("1d-ca-abft-bare", "1d", method="ca", nprocs=4,
+            scn = Scenario("1d-ca-abft-bare", "sim", method="1d-ca", nprocs=4,
                            reliable=False, checksum=False, abft=True)
             sr = None
             for s in range(args.seed, args.seed + 10):
@@ -788,6 +769,9 @@ def cmd_suite(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .machine import MACHINES
+    from .parallel import METHODS, SEQUENTIAL
+
     p = argparse.ArgumentParser(
         prog="repro",
         description="S* sparse LU with partial pivoting (paper reproduction)",
@@ -823,8 +807,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="apply iterative refinement")
     s.add_argument("--nprocs", type=int, default=1)
     s.add_argument("--method", default="sequential",
-                   choices=["sequential", "1d-rapid", "1d-ca", "2d", "2d-sync"])
-    s.add_argument("--machine", default="T3E", choices=["T3D", "T3E", "GENERIC"])
+                   choices=[SEQUENTIAL, *METHODS])
+    s.add_argument("--machine", default="T3E", choices=list(MACHINES))
     s.add_argument("--perturb", action="store_true",
                    help="replace tiny pivots by sqrt(eps)*||A|| instead of "
                         "failing (recover via --refine)")
@@ -840,9 +824,8 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("simulate", help="parallel run on the simulated machine")
     m.add_argument("matrix")
     m.add_argument("--nprocs", type=int, default=8)
-    m.add_argument("--method", default="2d",
-                   choices=["1d-rapid", "1d-ca", "2d", "2d-sync"])
-    m.add_argument("--machine", default="T3E", choices=["T3D", "T3E", "GENERIC"])
+    m.add_argument("--method", default="2d", choices=list(METHODS))
+    m.add_argument("--machine", default="T3E", choices=list(MACHINES))
     m.add_argument("--faults", help="FaultPlan JSON file to inject")
     m.add_argument("--reliable", action="store_true",
                    help="enable the ack/retry transport")
@@ -857,11 +840,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tr.add_argument("matrix")
     tr.add_argument("--mode", default="2d",
-                    choices=["1d", "2d", "1d-rapid", "1d-ca", "2d-sync"],
+                    choices=["1d", *METHODS],
                     help="1d is shorthand for 1d-rapid")
     tr.add_argument("--nprocs", type=int, default=8)
     tr.add_argument("--machine", default="T3E",
-                    choices=["T3D", "T3E", "GENERIC"])
+                    choices=list(MACHINES))
     tr.add_argument("--out", default="trace.json",
                     help="output trace file (load in ui.perfetto.dev)")
     tr.add_argument("--check", action="store_true",
@@ -877,10 +860,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="matrix to run (omit when loading --trace)")
     pf.add_argument("--trace", help="profile a saved trace JSON instead")
     pf.add_argument("--mode", default="2d",
-                    choices=["1d", "2d", "1d-rapid", "1d-ca", "2d-sync"])
+                    choices=["1d", *METHODS])
     pf.add_argument("--nprocs", type=int, default=8)
     pf.add_argument("--machine", default="T3E",
-                    choices=["T3D", "T3E", "GENERIC"])
+                    choices=list(MACHINES))
     pf.add_argument("--top", type=int, default=5,
                     help="how many longest spans to list")
     pf.set_defaults(func=cmd_profile)
@@ -902,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--seed", type=int, default=31)
     vc.add_argument("--block-size", type=int, default=6)
     vc.add_argument("--nprocs", type=int, default=4)
-    vc.add_argument("--machine", default="T3E", choices=["T3D", "T3E", "GENERIC"])
+    vc.add_argument("--machine", default="T3E", choices=list(MACHINES))
     vc.add_argument("--codes",
                     help="comma list of SPMD codes to check dynamically "
                          "(1d-rapid,1d-ca,2d,2d-sync,trisolve-1d,trisolve-2d)")
@@ -971,7 +954,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tn = sub.add_parser(
         "tune",
-        help="model-guided autotuning: search block size / grid / layout "
+        help="model-guided autotuning: search block size / method / grid "
              "for one matrix pattern",
     )
     tn.add_argument("matrix",
@@ -982,7 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="suite-matrix scale when `matrix` is a suite name")
     tn.add_argument("--nprocs", type=int, default=8)
     tn.add_argument("--machine", default="T3E",
-                    choices=["T3D", "T3E", "GENERIC"])
+                    choices=list(MACHINES))
     tn.add_argument("--budget", default="auto",
                     help="virtual-second cap on simulator probes: a float, "
                          "'auto' (~10 factorizations) or 'none'")

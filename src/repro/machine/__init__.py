@@ -18,7 +18,7 @@ delay/corrupt, rank crashes) and the opt-in reliable-delivery transport;
 see DESIGN.md "Resilience".
 """
 
-from .specs import MachineSpec, T3D, T3E, GENERIC
+from .specs import MachineSpec, MACHINES, T3D, T3E, GENERIC
 from .faults import (
     FaultPlan,
     MessageFaultRule,
@@ -41,6 +41,7 @@ from .simulator import (
 
 __all__ = [
     "MachineSpec",
+    "MACHINES",
     "T3D",
     "T3E",
     "GENERIC",

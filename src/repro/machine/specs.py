@@ -130,3 +130,6 @@ GENERIC = MachineSpec(
     latency_s=2.0e-6,
     bandwidth_bps=1e9,
 )
+
+#: the named machines, as ``SStarSolver(machine=...)`` and the CLI spell them
+MACHINES = {m.name: m for m in (T3D, T3E, GENERIC)}

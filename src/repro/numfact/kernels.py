@@ -8,29 +8,39 @@ T3D/T3E rates.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .counter import KernelCounter, DGEMM, DGEMV, BLAS1
 
 
-#: process-wide scratch buffers, keyed by use site.  The simulator runs
-#: every rank cooperatively on one host thread, and each use site fully
-#: writes its scratch before reading it inside a single yield-free window,
-#: so reusing (even clobbering) a slot across calls and ranks is safe.
-#: Growing in place (never shrinking) keeps the hot paths free of large
-#: per-call ``np.empty`` allocations, whose mmap + first-touch page faults
-#: dominate at bench scale.
-_SCRATCH_POOL: dict = {}
+#: scratch buffers, keyed by use site, one pool per host thread.  The
+#: simulator runs every rank cooperatively on one host thread, and each use
+#: site fully writes its scratch before reading it inside a single
+#: yield-free window, so reusing (even clobbering) a slot across calls and
+#: ranks is safe.  Threads that run kernels at the same time
+#: (:func:`repro.parallel.sstar_factor_threads`) each get their own pool,
+#: or one thread's GEMM product would overwrite another's between the
+#: multiply and the subtract.  Growing in place (never shrinking) keeps the
+#: hot paths free of large per-call ``np.empty`` allocations, whose mmap +
+#: first-touch page faults dominate at bench scale.
+_SCRATCH = threading.local()
 
 
 def scratch_buffer(slot: str, nrows: int, ncols: int = None) -> np.ndarray:
     """An uninitialised float64 scratch of the requested shape, recycled
-    per ``slot`` (see :data:`_SCRATCH_POOL` for the safety argument)."""
+    per ``slot`` and host thread (see :data:`_SCRATCH` for the safety
+    argument)."""
     need = nrows if ncols is None else nrows * ncols
-    buf = _SCRATCH_POOL.get(slot)
+    try:
+        pool = _SCRATCH.pool
+    except AttributeError:
+        pool = _SCRATCH.pool = {}
+    buf = pool.get(slot)
     if buf is None or buf.size < need:
         size = need if buf is None else max(need, 2 * buf.size)
-        buf = _SCRATCH_POOL[slot] = np.empty(size)
+        buf = pool[slot] = np.empty(size)
     flat = buf[:need]
     return flat if ncols is None else flat.reshape(nrows, ncols)
 

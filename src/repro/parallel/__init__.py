@@ -5,6 +5,8 @@
   compute-ahead (CA) code (Section 5.1);
 * :mod:`twod` — the 2D block-cyclic codes: synchronous and asynchronous
   pipelined SPMD algorithms (Section 5.2, Figs. 12-15);
+* :mod:`dispatch` — the one table from the solver's ``method`` strings to
+  these drivers (:func:`run_method`);
 * :mod:`mapping` — 1D cyclic and 2D grid data mappings;
 * :mod:`buffers` — communication-buffer accounting for Theorem 2.
 """
@@ -21,6 +23,9 @@ from .resilience import (
     run_2d_resilient,
     ResilientResult,
     RoundInfo,
+)
+from .dispatch import (
+    METHODS, SEQUENTIAL, check_method, grid_for, is_synchronous, layout, run_method,
 )
 
 __all__ = [
@@ -41,4 +46,6 @@ __all__ = [
     "run_2d_resilient",
     "ResilientResult",
     "RoundInfo",
+    "METHODS", "SEQUENTIAL", "check_method", "grid_for", "is_synchronous",
+    "layout", "run_method",
 ]

@@ -54,6 +54,9 @@ def sstar_factor_threads(
             cols = bstruct.u_block_cols(K)
             if not cols:
                 continue
+            # build the column's lazy update-sweep memo here, once: threads
+            # building it together can read its row count half-written
+            fc.update_sweep(bstruct)
 
             def work(j):
                 # per-task counter, merged under a lock: no shared

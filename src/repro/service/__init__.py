@@ -6,7 +6,10 @@ and a deterministic solve-service front end.
   :meth:`repro.api.SStarSolver.refactor`'s numeric-only fast path;
 * :mod:`service` — :class:`SolveService`, a bounded-queue job front end
   with virtual-time worker lanes, multi-RHS batching, retry on delivery
-  failures and a metrics snapshot.
+  failures and a metrics snapshot.  Jobs configure their solver only
+  through ``solver_opts`` (``SStarSolver`` keywords); with ``tune=True``
+  there, the service shares one :class:`repro.tune.PlanCache` and its
+  metrics registry across the tuned jobs.
 
 See DESIGN.md "Serving layer" for cache keying, invalidation rules and
 backpressure semantics.

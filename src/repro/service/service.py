@@ -140,19 +140,15 @@ class SolveService:
     solver_opts:
         Keyword arguments forwarded to every :class:`SStarSolver` (e.g.
         ``method``, ``nprocs``, ``machine``, ``faults``, ``reliable``).
+        With ``tune=True`` among them (:mod:`repro.tune`), every tuned job
+        resolves its plan from one :class:`repro.tune.PlanCache` shared
+        across jobs (made on the first tuned job unless ``plan_cache`` is
+        given), so the model-guided search runs only on the *first* job
+        of each new pattern — repeated-pattern traffic is served with zero
+        additional tuning probes.  The tuner and the service's own plan
+        cache count into :meth:`metrics`' registry.
     cache:
         Shared :class:`AnalysisCache` (one is created if not given).
-    tune, plan_cache, tune_budget, tune_seed, tune_opts:
-        Autotuning (:mod:`repro.tune`): with ``tune=True`` every
-        factorization resolves a pattern-keyed :class:`TuningPlan` from
-        the shared ``plan_cache`` (one is created if not given), running
-        the model-guided search only on the *first* job of each new
-        pattern — repeated-pattern traffic is served with zero additional
-        tuning probes (the ``tune.probes`` counter and the plan cache's
-        hit statistics make that assertable).  ``tune_budget`` /
-        ``tune_seed`` / ``tune_opts`` are forwarded to the solver's
-        tuner; the service's metrics registry is always injected so all
-        ``tune.*`` counters land in :meth:`metrics`' registry.
     tracer:
         Observability: ``True`` or a :class:`repro.obs.Tracer` records the
         job lifecycle as spans — ``queued`` on ``svc/job<N>`` from arrival
@@ -174,11 +170,6 @@ class SolveService:
         inter_arrival: float = 0.0,
         solver_opts: dict = None,
         cache: AnalysisCache = None,
-        tune: bool = False,
-        plan_cache=None,
-        tune_budget="auto",
-        tune_seed: int = 0,
-        tune_opts: dict = None,
         tracer=None,
         metrics: MetricsRegistry = None,
     ):
@@ -202,18 +193,7 @@ class SolveService:
             self.metrics_registry = MetricsRegistry()
         if self.cache.metrics is None:
             self.cache.metrics = self.metrics_registry
-        self.tune = tune
-        self.tune_budget = tune_budget
-        self.tune_seed = tune_seed
-        self.tune_opts = dict(tune_opts or {})
-        if tune:
-            from ..tune import PlanCache
-
-            self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
-            if self.plan_cache.metrics is None:
-                self.plan_cache.metrics = self.metrics_registry
-        else:
-            self.plan_cache = plan_cache
+        self.plan_cache = None  # shared by tuned jobs; made on first use
         self._queue: deque = deque()
         self._jobs: dict = {}
         self._worker_clock = [0.0] * workers
@@ -320,20 +300,19 @@ class SolveService:
     def _run_solver(self, A, opts, strip_faults: bool):
         from ..api.solver import SStarSolver
 
+        opts = dict(opts)
         if strip_faults:
-            opts = dict(opts)
             opts.pop("faults", None)
-        if self.tune:
-            opts = dict(opts)
-            opts.setdefault("tune", True)
+        if opts.get("tune"):
+            # one plan cache for all tuned jobs, and every tune.* counter
+            # (searches, probes, plan-cache hits) in the service's registry
+            if self.plan_cache is None:
+                from ..tune import PlanCache
+
+                self.plan_cache = PlanCache(metrics=self.metrics_registry)
             opts.setdefault("plan_cache", self.plan_cache)
-            opts.setdefault("tune_budget", self.tune_budget)
-            opts.setdefault("tune_seed", self.tune_seed)
-            tune_opts = dict(self.tune_opts)
-            # every tune.* counter (searches, probes, pruned) lands in the
-            # service's registry so metrics() sees the whole story
-            tune_opts.setdefault("metrics", self.metrics_registry)
-            opts.setdefault("tune_opts", tune_opts)
+            opts["tune_opts"] = {"metrics": self.metrics_registry,
+                                 **(opts.get("tune_opts") or {})}
         solver = SStarSolver(analysis_cache=self.cache, **opts)
         return solver.refactor(A)
 

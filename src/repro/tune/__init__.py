@@ -6,8 +6,12 @@ matrix *pattern*: the Eq. (4)-style analytic model prunes the declared
 search space (:mod:`repro.tune.space`), budgeted successive-halving
 simulator probes rank the survivors, and the winning
 :class:`TuningPlan` is cached pattern-keyed in a :class:`PlanCache` so
-``SStarSolver(tune=True)`` and a tuning :class:`repro.service.SolveService`
-pay for the search exactly once per structure.
+``SStarSolver(tune=True)`` and a :class:`repro.service.SolveService` whose
+``solver_opts`` turn ``tune`` on pay for the search exactly once per
+structure.  A plan speaks the solver's vocabulary: its fields
+(``block_size``, ``amalgamation``, ``method``, ``nprocs``, ``grid``,
+``ckpt_interval``) are ``SStarSolver`` keywords, and the probes run
+through the solver's own dispatch, :func:`repro.parallel.run_method`.
 """
 
 from .plan import (

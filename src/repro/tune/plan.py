@@ -30,70 +30,37 @@ from typing import Optional
 class TuningPlan:
     """One complete configuration of the factorization pipeline.
 
-    ``layout`` is ``"sequential"``, ``"1d"`` or ``"2d"``; ``pipeline``
-    selects the 1D scheduling flavour (``"rapid"`` graph scheduling or
-    ``"ca"`` compute-ahead) and ``synchronous`` the 2D communication
-    schedule; ``pr``/``pc`` fix the 2D grid shape.  ``block_size`` and
-    ``amalgamation`` shape the supernode partition and therefore the
-    BLAS-3 granularity.  ``ckpt_interval`` rides along for the resilient
-    drivers (``None`` = not requested by the plan).
+    The fields are :class:`repro.api.SStarSolver` keywords with the same
+    meaning, so ``SStarSolver(**plan.as_dict())`` runs the plan: ``method``
+    is ``"sequential"`` or a :data:`repro.parallel.METHODS` name, ``grid``
+    the 2D ``(pr, pc)`` shape (``None`` for 1D and sequential plans),
+    ``block_size`` and ``amalgamation`` shape the supernode partition and
+    therefore the BLAS-3 granularity, and ``ckpt_interval`` rides along
+    for the resilient drivers (``None`` = not requested by the plan).
     """
 
     block_size: int = 25
     amalgamation: int = 4
-    layout: str = "sequential"
+    method: str = "sequential"
     nprocs: int = 1
-    pr: int = 1
-    pc: int = 1
-    pipeline: str = "rapid"  # 1D flavour: "rapid" | "ca"
-    synchronous: bool = False  # 2D flavour: sync vs async pipelined
+    grid: Optional[tuple] = None
     ckpt_interval: Optional[int] = None
 
     def __post_init__(self):
-        if self.layout not in ("sequential", "1d", "2d"):
-            raise ValueError(f"unknown layout {self.layout!r}")
-        if self.pipeline not in ("rapid", "ca"):
-            raise ValueError(f"unknown 1D pipeline {self.pipeline!r}")
-        if self.layout == "2d" and self.pr * self.pc != self.nprocs:
-            raise ValueError(
-                f"grid {self.pr}x{self.pc} does not match nprocs={self.nprocs}"
-            )
+        from ..parallel import layout
 
-    @property
-    def method(self) -> str:
-        """The :class:`repro.api.SStarSolver` ``method`` string."""
-        if self.layout == "sequential" or self.nprocs == 1:
-            return "sequential"
-        if self.layout == "1d":
-            return f"1d-{self.pipeline}"
-        return "2d-sync" if self.synchronous else "2d"
-
-    def grid(self):
-        """The :class:`repro.parallel.Grid2D` for 2D plans, else ``None``."""
-        if self.layout != "2d":
-            return None
-        from ..parallel import Grid2D
-
-        return Grid2D(self.pr, self.pc)
-
-    def solver_opts(self) -> dict:
-        """Keyword arguments that reproduce this plan on ``SStarSolver``."""
-        opts = {
-            "block_size": self.block_size,
-            "amalgamation": self.amalgamation,
-            "method": self.method,
-            "nprocs": self.nprocs if self.method != "sequential" else 1,
-        }
-        if self.layout == "2d":
-            opts["grid"] = self.grid()
-        if self.ckpt_interval is not None:
-            opts["ckpt_interval"] = self.ckpt_interval
-        return opts
+        lay = layout(self.method)  # rejects an unknown method
+        if self.grid is not None:
+            g = tuple(self.grid)
+            object.__setattr__(self, "grid", g)
+            if lay != "2d" or g[0] * g[1] != self.nprocs:
+                raise ValueError(f"grid {g[0]}x{g[1]} does not fit a "
+                                 f"{self.method} plan on nprocs={self.nprocs}")
 
     def describe(self) -> str:
         bits = [f"b={self.block_size}", f"r={self.amalgamation}", self.method]
-        if self.layout == "2d":
-            bits.append(f"grid={self.pr}x{self.pc}")
+        if self.grid is not None:
+            bits.append(f"grid={self.grid[0]}x{self.grid[1]}")
         if self.method != "sequential":
             bits.append(f"P={self.nprocs}")
         return " ".join(bits)
@@ -101,7 +68,10 @@ class TuningPlan:
     # -- JSON ----------------------------------------------------------
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.grid is not None:
+            d["grid"] = list(self.grid)
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)

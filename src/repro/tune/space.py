@@ -51,34 +51,33 @@ def enumerate_plans(
     """The full candidate list for one (machine-independent) search.
 
     For ``nprocs == 1`` the space is the sequential block-size sweep; for
-    parallel budgets it crosses block sizes with the 1D flavours (RAPID
-    graph scheduling vs compute-ahead) and every 2D grid shape in the
-    paper regime, sync and async.
+    parallel budgets it crosses block sizes with every simulated method of
+    :data:`repro.parallel.METHODS` (RAPID graph scheduling and
+    compute-ahead in 1D; sync and async 2D on every grid shape in the
+    paper regime).
     """
+    from ..parallel import METHODS, layout
     from .plan import TuningPlan
 
+    grids = grid_shapes(nprocs, paper_regime=paper_regime)
+    methods_1d = [m for m in METHODS if layout(m) == "1d"]
+    methods_2d = [m for m in METHODS if layout(m) == "2d"]
     plans = []
     for r in amalgamations:
         for b in block_sizes:
             if nprocs == 1:
                 plans.append(TuningPlan(block_size=b, amalgamation=r))
                 continue
-            for pipeline in ("rapid", "ca"):
-                plans.append(
-                    TuningPlan(
-                        block_size=b, amalgamation=r, layout="1d",
-                        nprocs=nprocs, pipeline=pipeline,
-                    )
-                )
-            for pr, pc in grid_shapes(nprocs, paper_regime=paper_regime):
-                for synchronous in (False, True):
-                    plans.append(
-                        TuningPlan(
-                            block_size=b, amalgamation=r, layout="2d",
-                            nprocs=nprocs, pr=pr, pc=pc,
-                            synchronous=synchronous,
-                        )
-                    )
+            plans.extend(
+                TuningPlan(block_size=b, amalgamation=r, method=m,
+                           nprocs=nprocs)
+                for m in methods_1d
+            )
+            plans.extend(
+                TuningPlan(block_size=b, amalgamation=r, method=m,
+                           nprocs=nprocs, grid=g)
+                for g in grids for m in methods_2d
+            )
     return plans
 
 

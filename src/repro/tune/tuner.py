@@ -41,6 +41,7 @@ from ..analysis.model import plan_time_model
 from ..machine import MachineSpec, T3E
 from ..obs import PHASE, Tracer, as_tracer, profile_trace
 from ..ordering import prepare_matrix
+from ..parallel import Grid2D, grid_for, is_synchronous, layout, run_method
 from ..supernodes import build_block_structure, build_partition
 from ..symbolic import static_symbolic_factorization
 from ..taskgraph import build_task_graph
@@ -65,12 +66,10 @@ def default_plan(nprocs: int = 1, block_size: int = 25,
     asynchronous code on the preferred ``p_c / p_r ~ 2`` grid."""
     if nprocs <= 1:
         return TuningPlan(block_size=block_size, amalgamation=amalgamation)
-    from ..parallel import Grid2D
-
     g = Grid2D.preferred(nprocs)
     return TuningPlan(
-        block_size=block_size, amalgamation=amalgamation, layout="2d",
-        nprocs=nprocs, pr=g.pr, pc=g.pc, synchronous=False,
+        block_size=block_size, amalgamation=amalgamation, method="2d",
+        nprocs=nprocs, grid=(g.pr, g.pc),
     )
 
 
@@ -255,24 +254,26 @@ class Tuner:
         part, bstruct, tg, prof = state.blocking(
             plan.block_size, plan.amalgamation
         )
-        if plan.method == "sequential":
+        lay = layout(plan.method)
+        if lay == "sequential":
             return plan_time_model(
                 self.spec, total_seconds=prof.total_seconds,
                 cp_seconds=prof.critical_path_seconds,
             ).total
-        if plan.layout == "1d":
+        if lay == "1d":
             msgs, nbytes = comm_estimate_1d(tg, plan.nprocs)
         else:
-            msgs, nbytes = comm_estimate_2d(tg, plan.pr, plan.pc)
+            g = grid_for(plan.method, plan.nprocs, plan.grid)
+            msgs, nbytes = comm_estimate_2d(tg, g.pr, g.pc)
         return plan_time_model(
             self.spec,
             total_seconds=prof.total_seconds,
             cp_seconds=prof.critical_path_seconds,
             nprocs=plan.nprocs,
-            layout=plan.layout,
+            layout=lay,
             comm_messages=msgs,
             comm_bytes=nbytes,
-            synchronous=plan.synchronous,
+            synchronous=is_synchronous(plan.method),
             n_stages=tg.N,
         ).total
 
@@ -296,11 +297,9 @@ class Tuner:
         (the static tally *is* their exact modeled time) at zero budget
         cost.
         """
-        state = (
-            A_or_state
-            if isinstance(A_or_state, _PatternState)
-            else _PatternState(A_or_state, self.spec)
-        )
+        state = A_or_state
+        if not isinstance(state, _PatternState):
+            state = _PatternState(state, self.spec)
         part, bstruct, tg, prof = state.blocking(
             plan.block_size, plan.amalgamation
         )
@@ -311,26 +310,15 @@ class Tuner:
                 "busy": 1.0, "comm": 0.0, "idle": 0.0,
             }
         cap = state.stage_cap(part, fraction)
-        kwargs = {"sim_opts": {"tracer": Tracer()}}
-        if cap is not None:
-            kwargs["stage_range"] = (0, cap)
-        if plan.layout == "1d":
-            from ..parallel import run_1d
-
-            res = run_1d(
-                state.om.A, part, bstruct, plan.nprocs, self.spec,
-                method=plan.pipeline, tg=tg, **kwargs,
-            )
-        else:
-            from ..parallel import run_2d
-
-            res = run_2d(
-                state.om.A, part, bstruct, plan.nprocs, self.spec,
-                synchronous=plan.synchronous, grid=plan.grid(), **kwargs,
-            )
+        tracer = Tracer()
+        res = run_method(
+            plan.method, state.om.A, part, bstruct, plan.nprocs, self.spec,
+            grid=plan.grid, tg=tg, sim_opts={"tracer": tracer},
+            stage_range=(0, cap) if cap is not None else None,
+        )
         self._count("probes")
         attr = profile_trace(
-            kwargs["sim_opts"]["tracer"], total_time=res.sim.total_time
+            tracer, total_time=res.sim.total_time
         ).attribution()
         return dict(
             attr,

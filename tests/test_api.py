@@ -123,11 +123,50 @@ class TestParallelMethods:
         with pytest.raises(ValueError, match="method"):
             SStarSolver(nprocs=2, method="3d").factor(A)
 
+    @pytest.mark.parametrize("nprocs", [1, 4])
+    def test_unknown_method_rejected_at_construction(self, nprocs):
+        """A misspelt method must not fall back to the sequential code on
+        one processor, nor fail only once ``factor`` runs on several."""
+        with pytest.raises(ValueError, match="unknown method '2D-async'"):
+            SStarSolver(nprocs=nprocs, method="2D-async")
+
     def test_sim_result_exposed(self):
         A = random_nonsymmetric(50, density=0.08, seed=46)
         s = SStarSolver(nprocs=4, method="1d-rapid").factor(A)
         assert s.sim_result is not None
         assert s.sim_result.messages == s.report.messages
+
+
+class TestMethodDispatch:
+    def test_runs_look_drivers_up_on_the_package(self, monkeypatch):
+        """A wrapper installed on ``repro.parallel`` sees every solver run
+        (the end-to-end benchmark times the drivers this way)."""
+        import repro.parallel as parallel
+
+        calls = []
+        real = parallel.run_2d
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["synchronous"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "run_2d", spy)
+        A = random_nonsymmetric(50, density=0.08, seed=48)
+        SStarSolver(nprocs=4, method="2d-sync").factor(A)
+        assert calls == [True]
+
+    def test_ckpt_interval_routes_to_resilient_driver(self):
+        A = random_nonsymmetric(50, density=0.08, seed=49)
+        s = SStarSolver(nprocs=4, method="1d-ca", ckpt_interval=2).factor(A)
+        assert s.resilient_result is not None and s.sim_result is None
+        b = np.arange(50.0) + 1
+        assert np.array_equal(s.solve(b), SStarSolver().factor(A).solve(b))
+
+    def test_sequential_has_no_simulated_driver(self):
+        from repro.parallel import run_method
+
+        with pytest.raises(ValueError, match="sequential"):
+            run_method("sequential", None, None, None, 1, None)
 
 
 class TestBlockSizeAndAmalgamation:

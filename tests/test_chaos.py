@@ -68,19 +68,19 @@ class TestCompatibility:
             assert compatible(family, scenario.capabilities)
 
     def test_corrupt_needs_checksums_or_abft_plus_restart(self):
-        bare = Scenario("bare", "1d", reliable=False)
-        acked = Scenario("acked", "1d", reliable=True, checksum=True)
-        abft_only = Scenario("a", "1d", reliable=False, abft=True)
-        abft_ckpt = Scenario("ac", "resilient-1d", reliable=False, abft=True)
+        bare = Scenario("bare", "sim", reliable=False)
+        acked = Scenario("acked", "sim", reliable=True, checksum=True)
+        abft_only = Scenario("a", "sim", reliable=False, abft=True)
+        abft_ckpt = Scenario("ac", "resilient", reliable=False, abft=True)
         assert not compatible("corrupt", bare.capabilities)
         assert compatible("corrupt", acked.capabilities)
         assert not compatible("corrupt", abft_only.capabilities)
         assert compatible("corrupt", abft_ckpt.capabilities)
 
     def test_crash_needs_restart(self):
-        assert not compatible("crash", Scenario("s", "1d").capabilities)
+        assert not compatible("crash", Scenario("s", "sim").capabilities)
         assert compatible(
-            "crash", Scenario("s", "resilient-2d").capabilities)
+            "crash", Scenario("s", "resilient", method="2d").capabilities)
         # job-level retry is the service's restart analogue
         assert compatible("crash", Scenario("s", "service").capabilities)
 
@@ -125,7 +125,7 @@ class TestCampaign:
     def test_failing_run_is_reported_with_key(self, ctx):
         """A deliberately unprotected scenario turns the campaign red and
         the failure lands in the report with its shrinkable key."""
-        bare = Scenario("1d-bare-corrupt", "1d", method="ca", nprocs=4,
+        bare = Scenario("1d-bare-corrupt", "sim", method="1d-ca", nprocs=4,
                         reliable=False, checksum=False, abft=True)
         # pair it with the corrupt family only (bypassing compatibility
         # by constructing the campaign's sweep by hand)
@@ -160,8 +160,8 @@ class TestShrinker:
         no transport protection and no checkpointing the run dies with a
         typed error; the shrinker reduces the realised schedule to <= 2
         events and the saved artifact replays to the same failure."""
-        scenario = Scenario("1d-ca-abft-bare", "1d", method="ca", nprocs=4,
-                            reliable=False, checksum=False, abft=True)
+        scenario = Scenario("1d-ca-abft-bare", "sim", method="1d-ca",
+                            nprocs=4, reliable=False, checksum=False, abft=True)
         rule = MessageFaultRule(CORRUPT, rate=0.4, tag_prefix=("col",))
         plan, out = _find_failing(ctx, scenario, rule)
         assert out.failure_key()[0] == "SilentCorruptionError"
@@ -185,7 +185,7 @@ class TestShrinker:
         """Corruption the oracles (not a typed error) catch: an entirely
         unprotected 2D run completes with a wrong factor; the shrinker
         works from the red oracle key."""
-        scenario = Scenario("2d-bare", "2d", method="async", nprocs=4,
+        scenario = Scenario("2d-bare", "sim", method="2d", nprocs=4,
                             reliable=False, checksum=False, abft=False)
         rule = MessageFaultRule(CORRUPT, rate=0.5, tag_prefix=("urow",))
         plan, out = _find_failing(ctx, scenario, rule)
@@ -203,7 +203,7 @@ class TestShrinker:
             shrink_failure(ctx, scenario, plan)
 
     def test_resilient_scenarios_are_rejected(self, ctx):
-        scenario = Scenario("r", "resilient-1d")
+        scenario = Scenario("r", "resilient")
         with pytest.raises(ValueError, match="single-simulator"):
             shrink_failure(ctx, scenario, FaultPlan())
 

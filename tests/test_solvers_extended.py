@@ -144,6 +144,55 @@ class TestSharedMemoryThreads:
             assert np.array_equal(blk, par.matrix.blocks[key])
         assert seq.matrix.pivot_seq == par.matrix.pivot_seq
 
+    def test_scratch_is_per_thread(self):
+        """Concurrent ``Update(K, J)`` tasks each keep their GEMM product in
+        ``scratch_buffer("update-prod")`` between the multiply and the
+        subtract; a second thread taking the same slot in that window must
+        not overwrite the first thread's product."""
+        import threading
+
+        from repro.numfact.kernels import scratch_buffer
+
+        written, taken = threading.Event(), threading.Event()
+        seen = {}
+
+        def first():
+            prod = scratch_buffer("update-prod", 8, 3)
+            prod[:] = 1.0
+            written.set()
+            taken.wait(timeout=10)
+            seen["first"] = prod.copy()
+
+        t = threading.Thread(target=first)
+        t.start()
+        written.wait(timeout=10)
+        other = scratch_buffer("update-prod", 8, 3)
+        other[:] = 2.0
+        taken.set()
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert np.all(seen["first"] == 1.0)
+
+    def test_stress_more_threads_than_cores(self):
+        """Many threads with a short switch interval interleave the
+        update sweeps as often as they can; every run must still match
+        the sequential factor bit for bit."""
+        import sys
+
+        from repro.matrices import get_matrix
+
+        om = prepare_matrix(get_matrix("sherman5", "small"))
+        seq = sstar_factor(om.A)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                par = sstar_factor_threads(om.A, nthreads=8)
+                for key, blk in seq.matrix.blocks.items():
+                    assert np.array_equal(blk, par.matrix.blocks[key]), key
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_counters_complete(self):
         A = random_nonsymmetric(60, density=0.1, seed=94)
         om = prepare_matrix(A)

@@ -36,23 +36,25 @@ from repro.tune import (
 
 
 def test_plan_validation():
-    with pytest.raises(ValueError):
-        TuningPlan(layout="3d")
-    with pytest.raises(ValueError):
-        TuningPlan(layout="1d", nprocs=4, pipeline="eager")
-    with pytest.raises(ValueError):
-        TuningPlan(layout="2d", nprocs=4, pr=3, pc=2)
+    with pytest.raises(ValueError, match="unknown method"):
+        TuningPlan(method="3d")
+    with pytest.raises(ValueError, match="unknown method"):
+        TuningPlan(method="1d-eager", nprocs=4)
+    with pytest.raises(ValueError, match="does not fit"):
+        TuningPlan(method="2d", nprocs=4, grid=(3, 2))
+    with pytest.raises(ValueError, match="does not fit"):
+        TuningPlan(method="1d-ca", nprocs=4, grid=(2, 2))
 
 
-def test_plan_method_strings():
+def test_plan_fields_are_solver_keywords():
+    """A plan is the solver's own vocabulary: its dict is SStarSolver
+    keyword arguments, and the 2D grid survives as a (pr, pc) pair."""
     assert TuningPlan().method == "sequential"
-    assert TuningPlan(layout="1d", nprocs=4).method == "1d-rapid"
-    assert TuningPlan(layout="1d", nprocs=4, pipeline="ca").method == "1d-ca"
-    p2 = TuningPlan(layout="2d", nprocs=4, pr=2, pc=2)
-    assert p2.method == "2d"
-    assert p2.grid().pr == 2 and p2.grid().pc == 2
-    assert TuningPlan(layout="2d", nprocs=4, pr=2, pc=2,
-                      synchronous=True).method == "2d-sync"
+    p2 = TuningPlan(method="2d-sync", nprocs=4, grid=[2, 2])
+    assert p2.grid == (2, 2)
+    assert p2.describe() == "b=25 r=4 2d-sync grid=2x2 P=4"
+    s = SStarSolver(**p2.as_dict())
+    assert (s.method, s.nprocs, s.block_size) == ("2d-sync", 4, 25)
 
 
 def test_plan_rejects_unknown_fields():
@@ -71,20 +73,18 @@ def _plans():
         TuningPlan,
         block_size=st.sampled_from(BLOCK_SIZES),
         amalgamation=st.integers(1, 8),
-        layout=st.just("1d"),
+        method=st.sampled_from(["1d-rapid", "1d-ca"]),
         nprocs=st.integers(2, 64),
-        pipeline=st.sampled_from(["rapid", "ca"]),
         ckpt_interval=st.one_of(st.none(), st.integers(1, 16)),
     )
     twod = st.integers(2, 32).flatmap(
         lambda p: st.tuples(
             st.sampled_from(grid_shapes(p)),
             st.sampled_from(BLOCK_SIZES),
-            st.booleans(),
+            st.sampled_from(["2d", "2d-sync"]),
         ).map(
             lambda t: TuningPlan(
-                block_size=t[1], layout="2d", nprocs=p,
-                pr=t[0][0], pc=t[0][1], synchronous=t[2],
+                block_size=t[1], method=t[2], nprocs=p, grid=t[0],
             )
         )
     )
@@ -102,9 +102,9 @@ def test_plan_json_roundtrip(plan):
 
 @given(_plans())
 @settings(max_examples=25, deadline=None)
-def test_plan_solver_opts_construct(plan):
-    """Every generated plan yields kwargs SStarSolver accepts."""
-    s = SStarSolver(**plan.solver_opts())
+def test_plan_dict_constructs_solver(plan):
+    """Every generated plan's dict is kwargs SStarSolver accepts."""
+    s = SStarSolver(**plan.as_dict())
     assert s.block_size == plan.block_size
 
 
@@ -237,14 +237,15 @@ def test_model_vs_simulator_regression(name):
     tuner = Tuner(spec=T3E, nprocs=8)
     state = tuner.pattern_state(A)
     plans = [
-        TuningPlan(block_size=25, amalgamation=4, layout="1d", nprocs=8),
-        TuningPlan(block_size=8, amalgamation=4, layout="1d", nprocs=8),
+        TuningPlan(block_size=25, amalgamation=4, method="1d-rapid",
+                   nprocs=8),
+        TuningPlan(block_size=8, amalgamation=4, method="1d-rapid", nprocs=8),
         default_plan(8),  # 2d async on the preferred grid
     ]
     for plan in plans:
         model = tuner.model_seconds(state, plan)
         sim = tuner.simulate_plan(state, plan)["seconds"]
-        lo, hi = MODEL_TOL_1D if plan.layout == "1d" else MODEL_TOL_2D
+        lo, hi = MODEL_TOL_1D if plan.grid is None else MODEL_TOL_2D
         assert lo <= model / sim <= hi, (
             f"{name} {plan.describe()}: model {model:.6f} vs "
             f"simulated {sim:.6f} (ratio {model / sim:.2f})"
@@ -267,7 +268,7 @@ def test_solver_tuned_vs_manual_bit_identical(sherman5):
     assert tuned.tune_result is not None
     assert tuned.plan == tuned.tune_result.best
     x_tuned = tuned.solve(b)
-    manual = SStarSolver(**tuned.plan.solver_opts())
+    manual = SStarSolver(**tuned.plan.as_dict())
     manual.factor(sherman5)
     x_manual = manual.solve(b)
     assert np.array_equal(x_tuned, x_manual)
@@ -293,7 +294,7 @@ def test_solver_plan_cache_skips_second_search(sherman5):
 
 
 def test_service_repeated_pattern_tunes_once(sherman5):
-    svc = SolveService(tune=True, solver_opts={"nprocs": 4})
+    svc = SolveService(solver_opts={"nprocs": 4, "tune": True})
     rng = np.random.default_rng(11)
     n = sherman5.nrows
     for _ in range(3):
